@@ -300,8 +300,7 @@ def cmd_find_point(args):
     config = SearchConfig(
         height_bound=args.height_bound,
         prime_budget=args.prime_budget,
-        direct_height=min(SearchConfig.direct_height, args.height_bound),
-        quick_height=min(SearchConfig.quick_height, args.height_bound))
+        direct_height=min(SearchConfig.direct_height, args.height_bound))
     outcome = find_rational_point(F, G, plane, config)
     report = {"command": "find-point", "instance": args.instance,
               "flags": {"height_bound": args.height_bound,
@@ -368,8 +367,6 @@ def build_parser():
             p.add_argument("instance", help="instance JSON file")
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.add_argument("--prime-budget", type=int, default=200_000)
-        p.add_argument("--threads", type=int, default=1,
-                       help="scheduling only; output is independent of it")
 
     p = sub.add_parser("analyze", help="discriminant, ranks, smoothness")
     common(p)

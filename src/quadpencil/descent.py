@@ -3,8 +3,13 @@
 Enumerates hyperplanes through the distinguished plane, certifies the
 open-condition membership the induction needs, recurses down to P^4,
 solves there through conic-bundle fibers, and handles the conjugate
-rank-4 pair in P^6 by splitting the Weil restriction.  Also provides the
-seeded planted-instance generator used by the test and acceptance suites.
+rank-4 pair in P^6 by splitting the Weil restriction.  Every P^4 point
+comes from a conic-bundle fiber; direct enumeration serves only routes
+without a descent and the discriminant-zero case.  One descent step,
+``descend_into``, is taken by both the search and ``replay_trace``, so
+replay re-derives each descent level exactly as the search did.  Also
+provides the seeded planted-instance generator used by the test and
+acceptance suites.
 """
 
 from __future__ import annotations
@@ -12,18 +17,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
     Poly,
     QuotientField,
     _frac,
-    echelon,
-    kernel_basis,
+    mat_inverse,
     mat_mul,
     mat_transpose,
     matrix_rank,
+    rank_and_kernel,
     rational_sqrt,
 )
 from .forms import (
@@ -31,6 +36,7 @@ from .forms import (
     ProjectivePoint,
     QuadraticForm,
     form_rank,
+    integer_rep_value,
     radical_subspace,
     restrict_form,
     signature,
@@ -52,13 +58,7 @@ from .normalize import (
     normalize_pencil,
     verify_conic_plane,
 )
-from .pencil import (
-    DiscriminantData,
-    IdenticallyZeroDiscriminant,
-    Pencil,
-    discriminant,
-    smoothness_test,
-)
+from .pencil import DiscriminantData, Pencil, member_matrix, smoothness_test
 
 
 class PointNotOnX(ValueError):
@@ -137,7 +137,8 @@ class HyperplaneCandidate:
         if dim != 3 + len(self.alphas):
             _bad_dim(dim, self.alphas)
         cols = [[Fraction(int(i == k)) for i in range(dim)] for k in range(3)]
-        for ker in kernel_basis([[Fraction(a) for a in self.alphas]]):
+        _, kernel = rank_and_kernel([[Fraction(a) for a in self.alphas]])
+        for ker in kernel:
             cols.append([Fraction(0)] * 3 + list(ker))
         return LinearSubspace.span(dim, cols)
 
@@ -169,6 +170,8 @@ class V0Certificate:
     rank_g_restricted: int
     radical_hits: tuple   # labels of radical vectors lying on H (must be ())
     rejected_clause: str | None
+    cone: LinearSubspace | None = None      # the cone of H, when accepted
+    child: NormalizedSystem | None = None   # (F, G) restricted to the cone
 
 
 def _eval_linear_on_vector(alphas, vec, fld):
@@ -185,10 +188,14 @@ def _eval_linear_on_vector(alphas, vec, fld):
 
 def v0_membership(sys: NormalizedSystem, d: DiscriminantData,
                   H: HyperplaneCandidate) -> V0Certificate:
+    """Certify the open conditions on H; an accepted certificate carries
+    the cone of H and the child system in P^{n-1}."""
     n = sys.n
     S = H.cone_basis(sys.dim)
-    rank_f = form_rank(restrict_form(sys.F, S))
-    rank_g = form_rank(restrict_form(sys.G, S))
+    rf = restrict_form(sys.F, S)
+    rg = restrict_form(sys.G, S)
+    rank_f = form_rank(rf)
+    rank_g = form_rank(rg)
     hits = []
     for idx, rec in enumerate(d.records):
         if rec.rank >= sys.dim and rec.kind == "factor":
@@ -205,7 +212,16 @@ def v0_membership(sys: NormalizedSystem, d: DiscriminantData,
                              "singular-point-avoidance")
     if rank_g < 3:
         return V0Certificate(False, rank_f, rank_g, (), "restricted-G-rank")
-    return V0Certificate(True, rank_f, rank_g, (), None)
+    child = NormalizedSystem(
+        F=rf, G=rg,
+        coordinate_change=tuple(
+            tuple(Fraction(int(i == j)) for j in range(n))
+            for i in range(n)),
+        pencil_change=((Fraction(1), Fraction(0)),
+                       (Fraction(0), Fraction(1))),
+        n=n - 1,
+        conic_form=sys.conic_form)
+    return V0Certificate(True, rank_f, rank_g, (), None, cone=S, child=child)
 
 
 def transversality_check(F: QuadraticForm, G: QuadraticForm,
@@ -218,15 +234,14 @@ def transversality_check(F: QuadraticForm, G: QuadraticForm,
     return matrix_rank(rows) == 3
 
 
-def restricted_discriminant(sys: NormalizedSystem, H: HyperplaneCandidate):
-    """Discriminant data of the restricted pencil, plus the irreducible
-    quintic flag when descending from P^5."""
-    S = H.cone_basis(sys.dim)
-    rf = restrict_form(sys.F, S)
-    rg = restrict_form(sys.G, S)
-    d = discriminant(Pencil(rf, rg))
+def restricted_discriminant(child: NormalizedSystem):
+    """Hypothesis report of a child system, whose .disc is the restricted
+    discriminant, plus the irreducible quintic flag when the child lives in
+    P^4 (descending from P^5)."""
+    report = hypothesis_report(child)
     irreducible_quintic = None
-    if sys.n == 5:
+    if child.n == 4:
+        d = report.disc
         fac = d.factorization
         irreducible_quintic = (d.P.degree == 5 and len(fac.factors) == 1
                                and fac.factors[0][1] == 1)
@@ -236,7 +251,30 @@ def restricted_discriminant(sys: NormalizedSystem, H: HyperplaneCandidate):
         if not irreducible_quintic:
             irreducible_quintic = (d.P.degree == 4 and len(fac.factors) == 1
                                    and fac.factors[0][1] == 1)
-    return d, irreducible_quintic
+    return report, irreducible_quintic
+
+
+def descend_into(sys: NormalizedSystem, d: DiscriminantData,
+                 H: HyperplaneCandidate):
+    """The descent step from sys, with discriminant data d, into the
+    hyperplane H; search and replay both take it.
+
+    Returns None when V0 rejects H, else (certificate, child report,
+    trace level).  An accepted child always classifies: F' has full rank,
+    and G' is nonzero and vanishes on the plane where F' does not, so the
+    pencil is non-conical, not proportional, and det(F' + lambda G') is
+    nonzero at lambda = 0.
+    """
+    cert = v0_membership(sys, d, H)
+    if not cert.accepted:
+        return None
+    child_report, irq = restricted_discriminant(cert.child)
+    level = {"n": sys.n, "hyperplane": list(H.alphas),
+             "rank_f_restricted": cert.rank_f_restricted,
+             "rank_g_restricted": cert.rank_g_restricted,
+             "irreducible_quintic": irq,
+             "child_route": child_report.route}
+    return cert, child_report, level
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +310,7 @@ def residual_conic_fiber(sys_or_forms, t) -> FiberConic:
           G4.gram[3][3])
     if all(c == 0 for c in mg):
         raise DegenerateFiber(f"G vanishes identically on H_{(t0, t1)}")
-    plane_in_ht = kernel_basis([list(mg)])
+    _, plane_in_ht = rank_and_kernel([list(mg)])
     cols_p4 = [[sum(Ht.matrix()[i][j] * v[j] for j in range(4))
                 for i in range(5)] for v in plane_in_ht]
     emb = LinearSubspace.span(5, cols_p4)
@@ -282,22 +320,6 @@ def residual_conic_fiber(sys_or_forms, t) -> FiberConic:
 
 # ---------------------------------------------------------------------------
 # Weil restriction split in P^6
-
-
-def _field_matrix(F, G, fld, gen):
-    return [[fld.reduce(Poly([F.gram[i][j]]) + gen * Fraction(G.gram[i][j]))
-             for j in range(F.dim)] for i in range(F.dim)]
-
-
-def mat_inverse_field(A, fld):
-    n = len(A)
-    aug = [[A[i][j] for j in range(n)]
-           + [fld.one if i == j else fld.zero for j in range(n)]
-           for i in range(n)]
-    red, pivots = echelon(aug, fld)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular over the quotient field")
-    return [row[n:] for row in red[:n]]
 
 
 @dataclass(frozen=True)
@@ -324,13 +346,13 @@ def weil_restriction_split(sys: NormalizedSystem, census) -> WeilSplitData:
     m = pair[0].factor
     fld = QuotientField(m.monic(), check_irreducible=False)
     gen = fld.reduce(Poly([0, 1]))
-    N1 = _field_matrix(sys.F, sys.G, fld, gen)
-    R1 = kernel_basis([row[:] for row in N1], fld)
+    N1 = member_matrix(sys.F, sys.G, fld)
+    _, R1 = rank_and_kernel(N1, fld)
     if len(R1) != 3:
         raise NotConjugateCase(f"rank-4 member has radical of dim {len(R1)}")
     R2 = [[fld.conjugate(x) for x in v] for v in R1]
-    gen2 = fld.conjugate(gen)
-    N2 = _field_matrix(sys.F, sys.G, fld, gen2)
+    # F and G are rational, so the conjugate member is the entrywise conjugate
+    N2 = [[fld.conjugate(x) for x in row] for row in N1]
     for v in R2:
         for row in N2:
             acc = fld.zero
@@ -372,7 +394,7 @@ def weil_reconstruct(w: WeilSplitData):
         for j in range(4):
             n1_new[3 + i][3 + j] = w.T[i][j]
     B = [list(r) for r in w.basis]
-    Binv = mat_inverse_field(B, fld)
+    Binv = mat_inverse(B, fld)
     Bit = mat_transpose(Binv)
     N1 = mat_mul(mat_mul(Bit, n1_new, fld), Binv, fld)
     N2 = [[fld.conjugate(x) for x in row] for row in N1]
@@ -509,19 +531,11 @@ def weil_point_transfer(w: WeilSplitData, qpoint) -> ProjectivePoint:
 
 def direct_point_search(F: QuadraticForm, G: QuadraticForm, height: int):
     """First primitive projective point with F = G = 0, by height."""
-    sf, df, cf = F.integer_rep()
-    sg, dg, cg = G.integer_rep()
-    dim = F.dim
-
-    def ev(diag, cross, x):
-        acc = sum(diag[i] * x[i] * x[i] for i in range(dim) if x[i])
-        for (i, j), c in cross.items():
-            if c and x[i] and x[j]:
-                acc += c * x[i] * x[j]
-        return acc
-
-    for vec in primitive_vectors(dim, height):
-        if ev(df, cf, vec) == 0 and ev(dg, cg, vec) == 0:
+    _, df, cf = F.integer_rep()
+    _, dg, cg = G.integer_rep()
+    for vec in primitive_vectors(F.dim, height):
+        if (integer_rep_value(df, cf, vec) == 0
+                and integer_rep_value(dg, cg, vec) == 0):
             return ProjectivePoint(vec)
     return None
 
@@ -538,7 +552,6 @@ class SearchConfig:
     conic_volume_cap: int = 4_000_000
     weil_bound: int = 6
     direct_height: int = 3
-    quick_height: int = 3
     prime_budget: int = 200_000
     obstruction_primes: tuple = (3,)
     definite_scan: int = 5
@@ -724,44 +737,21 @@ def _singular_line_point(sys: NormalizedSystem):
 
 def _descend(F0, G0, sys, embed, report, trace, config):
     n = sys.n
-    d = report.disc
     tried = 0
     for H in enumerate_hyperplanes(n, config.height_bound):
         if tried >= config.hyperplanes_per_level:
             break
-        cert = v0_membership(sys, d, H)
-        if not cert.accepted:
+        step = descend_into(sys, report.disc, H)
+        if step is None:
             continue
-        rd, irq = restricted_discriminant(sys, H)
-        if n == 5 and not irq:
+        cert, child_report, level = step
+        if n == 5 and not level["irreducible_quintic"]:
             continue
         tried += 1
-        S = H.cone_basis(sys.dim)
-        rf = restrict_form(sys.F, S)
-        rg = restrict_form(sys.G, S)
-        child = NormalizedSystem(
-            F=rf, G=rg,
-            coordinate_change=tuple(
-                tuple(Fraction(int(i == j)) for j in range(sys.dim - 1))
-                for i in range(sys.dim - 1)),
-            pencil_change=((Fraction(1), Fraction(0)),
-                           (Fraction(0), Fraction(1))),
-            n=n - 1,
-            conic_form=sys.conic_form)
-        try:
-            child_report = hypothesis_report(child)
-        except (ValueError, IdenticallyZeroDiscriminant):
-            tried -= 1
-            continue
-        level = {"n": n, "hyperplane": list(H.alphas),
-                 "rank_f_restricted": cert.rank_f_restricted,
-                 "rank_g_restricted": cert.rank_g_restricted,
-                 "irreducible_quintic": irq,
-                 "child_route": child_report.route}
-        child_embed = mat_mul(embed, S.matrix())
+        child_embed = mat_mul(embed, cert.cone.matrix())
         child_trace = dict(trace)
         child_trace["levels"] = trace["levels"] + [level]
-        out = _solve_normalized(F0, G0, child, child_embed, child_report,
+        out = _solve_normalized(F0, G0, cert.child, child_embed, child_report,
                                 child_trace, config)
         if out.status == "point":
             return out
@@ -771,11 +761,6 @@ def _descend(F0, G0, sys, embed, report, trace, config):
 
 
 def _solve_p4(F0, G0, sys, embed, report, trace, config):
-    quick = direct_point_search(sys.F, sys.G, config.quick_height)
-    if quick is not None:
-        trace["levels"].append({"n": 4, "method": "direct"})
-        return _finish(F0, G0, embed, list(quick.coords), trace,
-                       report.route, report, method="direct")
     fibers_tried = 0
     fiber_log = []
     for t in enumerate_p1(config.height_bound):
@@ -853,7 +838,9 @@ def _solve_weil(F0, G0, sys, embed, report, trace, config):
 
 def replay_trace(F0, G0, plane, trace) -> bool:
     """Re-run every certificate recorded in a successful trace and check
-    the recorded verdicts are reproduced."""
+    the recorded verdicts are reproduced.  Each descent level is re-derived
+    by descend_into, the step the search took, and must match the recorded
+    level exactly."""
     cfg = verify_conic_plane(F0, G0, plane)
     if trace.get("route") == "discriminant-zero":
         pt = trace["point"]
@@ -868,24 +855,13 @@ def replay_trace(F0, G0, plane, trace) -> bool:
         if "hyperplane" not in level:
             continue
         H = HyperplaneCandidate(alphas=tuple(level["hyperplane"]))
-        cert = v0_membership(cur, d, H)
-        if not cert.accepted:
+        step = descend_into(cur, d, H)
+        if step is None:
             return False
-        if cert.rank_f_restricted != level["rank_f_restricted"]:
+        cert, child_report, derived = step
+        if derived != level:
             return False
-        if cert.rank_g_restricted != level["rank_g_restricted"]:
-            return False
-        _, irq = restricted_discriminant(cur, H)
-        if irq != level.get("irreducible_quintic"):
-            return False
-        S = H.cone_basis(cur.dim)
-        cur = replace(cur, F=restrict_form(cur.F, S),
-                      G=restrict_form(cur.G, S), n=cur.n - 1,
-                      coordinate_change=tuple(
-                          tuple(Fraction(int(i == j))
-                                for j in range(cur.dim - 1))
-                          for i in range(cur.dim - 1)))
-        d = discriminant(cur.pencil())
+        cur, d = cert.child, child_report.disc
     for level in trace.get("levels", []):
         if level.get("method") == "fiber" and "conic" in level:
             fiber = residual_conic_fiber(cur, tuple(level["fiber_t"]))
@@ -977,8 +953,7 @@ def generate_planted_instance(n, conic_form: QuadraticForm, planted_point,
             continue
         if route is not None and rep.route != route:
             continue
-        if require_smooth and not smoothness_test(Pencil(F0, G0),
-                                                  sample_prime=0):
+        if require_smooth and not smoothness_test(Pencil(F0, G0)):
             continue
         return F0, G0, plane
     raise RetriesExhausted(

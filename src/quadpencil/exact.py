@@ -133,14 +133,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def evaluate_pair(self, mu, lam, total_degree):
-        """Evaluate the homogenization mu^total_degree * p(lam/mu)."""
-        mu, lam = _frac(mu), _frac(lam)
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            acc += c * lam**i * mu ** (total_degree - i)
-        return acc
-
     def primitive_integer(self):
         """Return (scale, q) with q = scale * self having coprime integer
         coefficients and positive leading coefficient."""
@@ -302,10 +294,6 @@ class QuotientField:
         return f"QuotientField({self.modulus!r})"
 
 
-def quot_inverse(e: Poly, field: QuotientField) -> Poly:
-    return field.inv(e)
-
-
 class _RationalField:
     """Field adapter for plain Q so the elimination code is generic."""
 
@@ -406,7 +394,11 @@ def matrix_rank(rows, field=None) -> int:
 
 
 def rank_and_kernel(rows, field=None):
-    """(rank, right-kernel basis) from a single elimination pass."""
+    """(rank, right-kernel basis) from a single elimination pass.
+
+    Deterministic: one kernel vector per free column, with a 1 in that
+    column.
+    """
     K = _as_field(field)
     if not rows:
         return 0, []
@@ -421,27 +413,6 @@ def rank_and_kernel(rows, field=None):
             v[pc] = K.neg(red[r][fc])
         basis.append(v)
     return len(pivots), basis
-
-
-def kernel_basis(rows, field=None):
-    """Basis of the right kernel, as a list of coordinate vectors.
-
-    Deterministic: one vector per free column, with a 1 in that column.
-    """
-    K = _as_field(field)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = echelon(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [K.zero] * ncols
-        v[fc] = K.one
-        for r, pc in enumerate(pivots):
-            v[pc] = K.neg(red[r][fc])
-        basis.append(v)
-    return basis
 
 
 def mat_mul(A, B, field=None):
@@ -463,12 +434,14 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_inverse(A):
-    """Inverse of a square rational matrix; raises NonInvertible if singular."""
+def mat_inverse(A, field=None):
+    """Inverse of a square matrix over Q or a quotient field; raises
+    NonInvertible if singular."""
+    K = _as_field(field)
     n = len(A)
-    aug = [[_frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [K.one if i == j else K.zero for j in range(n)]
            for i, row in enumerate(A)]
-    red, pivots = echelon(aug)
+    red, pivots = echelon(aug, field)
     if pivots != list(range(n)):
         raise NonInvertible("matrix is singular")
     return [row[n:] for row in red[:n]]

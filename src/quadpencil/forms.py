@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from .exact import (
     _frac,
-    kernel_basis,
     mat_mul,
     mat_transpose,
     matrix_rank,
+    rank_and_kernel,
 )
 
 
@@ -120,6 +120,19 @@ class QuadraticForm:
         return scale, diag, cross
 
 
+def integer_rep_value(diag, cross, x) -> int:
+    """Value at the integer vector x of the model (diag, cross) returned by
+    QuadraticForm.integer_rep()."""
+    acc = 0
+    for i, d in enumerate(diag):
+        if x[i]:
+            acc += d * x[i] * x[i]
+    for (i, j), c in cross.items():
+        if c and x[i] and x[j]:
+            acc += c * x[i] * x[j]
+    return acc
+
+
 @dataclass(frozen=True)
 class LinearSubspace:
     ambient_dim: int
@@ -214,16 +227,11 @@ def radical_subspace(F: QuadraticForm, field=None):
     list of kernel vectors (entries are field elements).
     """
     if field is None:
-        vecs = kernel_basis(self_gram(F))
+        _, vecs = rank_and_kernel(self_gram(F))
         return LinearSubspace.span(F.dim, vecs)
     rows = [[field.from_rational(x) for x in row] for row in F.gram]
-    return kernel_basis(rows, field)
-
-
-def evaluate_and_gradient(F: QuadraticForm, P: ProjectivePoint):
-    if P.dim != F.dim:
-        raise DimensionMismatch("point dimension does not match form")
-    return F.evaluate(P.coords), F.gradient(P.coords)
+    _, vecs = rank_and_kernel(rows, field)
+    return vecs
 
 
 def extend_to_basis(cols, ambient_dim):

@@ -14,7 +14,12 @@ from fractions import Fraction
 import sympy
 
 from .exact import _frac, squarefree_part
-from .forms import ProjectivePoint, QuadraticForm, diagonalize
+from .forms import (
+    ProjectivePoint,
+    QuadraticForm,
+    diagonalize,
+    integer_rep_value,
+)
 
 
 class NotLocallySolvable(ValueError):
@@ -302,18 +307,6 @@ def _modp_setup(F: QuadraticForm, p: int):
     return diag, cross
 
 
-def _eval_modp(diag, cross, x, p):
-    acc = 0
-    n = len(diag)
-    for i in range(n):
-        if x[i]:
-            acc += diag[i] * x[i] * x[i]
-    for (i, j), c in cross.items():
-        if c and x[i] and x[j]:
-            acc += c * x[i] * x[j]
-    return acc % p
-
-
 def _grad_modp(diag, cross, x, p):
     n = len(diag)
     g = [2 * diag[i] * x[i] for i in range(n)]
@@ -350,7 +343,8 @@ def modp_counts(F: QuadraticForm, G: QuadraticForm, p: int,
     total = smooth = 0
     sample = None
     for x in _projective_points(dim, p):
-        if _eval_modp(dF, cF, x, p) or _eval_modp(dG, cG, x, p):
+        if (integer_rep_value(dF, cF, x) % p
+                or integer_rep_value(dG, cG, x) % p):
             continue
         total += 1
         gf = _grad_modp(dF, cF, x, p)
@@ -362,12 +356,6 @@ def modp_counts(F: QuadraticForm, G: QuadraticForm, p: int,
             if sample is None:
                 sample = x
     return total, smooth, sample
-
-
-def modp_smooth_point_count(F: QuadraticForm, G: QuadraticForm, p: int,
-                            budget: int = 200000):
-    total, smooth, sample = modp_counts(F, G, p, budget)
-    return smooth, sample
 
 
 def _primitive_form_ints(F: QuadraticForm):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import mat_mul, matrix_rank, rational_sqrt
+from .exact import matrix_rank, rational_sqrt
 from .forms import (
     LinearSubspace,
     QuadraticForm,
@@ -119,11 +119,6 @@ class NormalizedSystem:
 
     def plane(self) -> LinearSubspace:
         return LinearSubspace.standard(self.dim, (0, 1, 2))
-
-    def point_to_original(self, coords):
-        M = [list(r) for r in self.coordinate_change]
-        y = [[Fraction(x)] for x in coords]
-        return [row[0] for row in mat_mul(M, y)]
 
 
 MAX_RANK_SCAN = 32

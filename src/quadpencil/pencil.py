@@ -239,25 +239,15 @@ def condition_E_check(d: DiscriminantData) -> ConditionEReport:
     return ConditionEReport(False, None, tuple(notes))
 
 
-def smoothness_test(p: Pencil, sample_prime: int = 3,
-                    sample_budget: int = 100000) -> bool:
+def smoothness_test(p: Pencil) -> bool:
     """Smoothness of X = {F = G = 0} as a complete intersection.
 
     Verdict: D(mu, lambda) squarefree of degree dim, i.e. P nonzero and
-    squarefree with mu-multiplicity <= 1.  A mod-p Jacobian sample is run
-    as an advisory guard only; it never changes the verdict.
+    squarefree with mu-multiplicity <= 1.
     """
     try:
         d = discriminant(p)
     except IdenticallyZeroDiscriminant:
         return False
-    squarefree = (all(mult == 1 for _, mult in d.factorization.factors)
-                  and d.mu_multiplicity <= 1)
-    if squarefree and sample_prime and sample_prime ** p.dim <= sample_budget:
-        from .localsolve import modp_smooth_point_count
-        try:
-            modp_smooth_point_count(p.F, p.G, sample_prime,
-                                    budget=sample_budget)
-        except (ValueError, ArithmeticError):
-            pass  # bad reduction; the exact criterion stands
-    return squarefree
+    return (all(mult == 1 for _, mult in d.factorization.factors)
+            and d.mu_multiplicity <= 1)

@@ -8,9 +8,14 @@ import math
 import random
 from fractions import Fraction
 
-from quadpencil.exact import Poly, QuotientField, mat_mul, mat_transpose
+from quadpencil.exact import (
+    Poly,
+    QuotientField,
+    mat_inverse,
+    mat_mul,
+    mat_transpose,
+)
 from quadpencil.forms import LinearSubspace, QuadraticForm
-from quadpencil.descent import mat_inverse_field
 
 
 def random_symmetric(rng, dim, height):
@@ -93,7 +98,7 @@ def build_conjugate_weil_instance(seed=0):
                 + [col(k, -1) for k in range(3)]
                 + [[one if i == 6 else zero for i in range(7)]])
         B = [[cols[j][i] for j in range(7)] for i in range(7)]
-        Binv = mat_inverse_field(B, K)
+        Binv = mat_inverse(B, K)
         big = [[zero] * 7 for _ in range(7)]
         for i in range(4):
             for j in range(4):

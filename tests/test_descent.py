@@ -183,12 +183,13 @@ class TestRestrictedDiscriminant:
         sys = normalize_pencil(F0, G0, verify_conic_plane(F0, G0, plane))
         rep = hypothesis_report(sys)
         for H in enumerate_hyperplanes(5, 2):
-            if not v0_membership(sys, rep.disc, H).accepted:
+            cert = v0_membership(sys, rep.disc, H)
+            if not cert.accepted:
                 continue
-            d, irq = restricted_discriminant(sys, H)
+            child_rep, irq = restricted_discriminant(cert.child)
             assert irq in (True, False)
             # the restricted pencil lives in 5 variables
-            assert d.dim == 5
+            assert child_rep.disc.dim == 5
             break
 
 
@@ -306,6 +307,41 @@ class TestEndToEnd:
             (F0, G0, plane), pt = _planted(5, seed)
             out = find_rational_point(F0, G0, plane)
             assert out.status != "obstruction"
+
+
+class TestP4Fibers:
+    @pytest.mark.parametrize("seed", range(91, 97))
+    def test_point_comes_from_a_fiber(self, seed):
+        (F0, G0, plane), _ = _planted(4, seed)
+        out = find_rational_point(F0, G0, plane)
+        assert out.status == "point"
+        assert out.trace["method"] == "fiber"
+        assert replay_trace(F0, G0, plane, out.trace)
+
+
+@pytest.fixture(scope="module")
+def p6_search():
+    (F0, G0, plane), _ = _planted(6, 22)
+    out = find_rational_point(F0, G0, plane)
+    assert out.status == "point"
+    return F0, G0, plane, out.trace
+
+
+class TestReplayDescent:
+    @pytest.mark.parametrize("key, alter", [
+        ("rank_g_restricted", lambda v: v + 1),
+        ("irreducible_quintic", lambda v: not v),
+        ("child_route", lambda v: v + "-altered"),
+    ])
+    def test_altered_level_rejected(self, p6_search, key, alter):
+        F0, G0, plane, trace = p6_search
+        hops = [i for i, lv in enumerate(trace["levels"]) if "hyperplane" in lv]
+        assert len(hops) == 2  # P^6 -> P^5 -> P^4
+        for i in hops:
+            levels = [dict(lv) for lv in trace["levels"]]
+            levels[i][key] = alter(levels[i][key])
+            assert not replay_trace(F0, G0, plane, dict(trace, levels=levels))
+        assert replay_trace(F0, G0, plane, trace)
 
 
 class TestDirectSearch:
