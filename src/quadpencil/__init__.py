@@ -1,7 +1,13 @@
 """Exact analysis of pencils of quadrics over Q and rational point search
 on intersections of two quadrics containing a conic."""
 
-from .exact import Poly, QuotientField, factor_poly, is_irreducible
+from .exact import (
+    InternalError,
+    Poly,
+    QuotientField,
+    factor_poly,
+    is_irreducible,
+)
 from .forms import (
     LinearSubspace,
     ProjectivePoint,

@@ -2,8 +2,9 @@
 
 Subcommands: analyze, classify, local-check, find-point, gen.  Exit codes:
 0 success / point found, 1 certified local obstruction, 2 bounds exhausted,
-3 invalid input.  Reports are canonical JSON (sorted keys, integers and
-"p/q" strings, no floats); timing fields are the only non-reproducible part.
+3 invalid input, 4 internal error (a failed internal check).  Reports are
+canonical JSON (sorted keys, integers and "p/q" strings, no floats); timing
+fields are the only non-reproducible part.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .descent import (
     find_rational_point,
     generate_planted_instance,
 )
-from .exact import Poly, _frac
+from .exact import InternalError, Poly, _frac
 from .forms import LinearSubspace, ProjectivePoint, QuadraticForm
 from .localsolve import BudgetExceeded, conic_local_report, modp_counts, \
     reduce_ternary
@@ -32,7 +33,6 @@ from .pencil import (
     condition_E_check,
     discriminant,
     multiplicity_bound_check,
-    smoothness_test,
 )
 
 
@@ -235,7 +235,7 @@ def cmd_analyze(args):
         d = discriminant(pencil)
         report["discriminant"] = discriminant_json(d)
         report["multiplicity_bound_ok"] = multiplicity_bound_check(d, F.dim - 1)
-        report["smooth"] = smoothness_test(pencil)
+        report["smooth"] = d.smooth
     except IdenticallyZeroDiscriminant:
         report["discriminant"] = None
         report["note"] = "det(F + lambda G) = 0 identically"
@@ -359,7 +359,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     parser = _Parser(prog="quadpencil",
                      description="pencils of quadrics over Q: analysis and "
-                                 "rational point search")
+                                 "rational point search",
+                     epilog="exit codes: 0 success or point found, 1 certified "
+                            "local obstruction, 2 search bounds exhausted, "
+                            "3 invalid input, 4 internal error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, instance=True):
@@ -403,6 +406,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 3
     try:
         return args.func(args)
+    except InternalError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     except (InstanceError, ValueError, ArithmeticError,
             RetriesExhausted) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    InternalError,
     Poly,
     QuotientField,
     _frac,
@@ -358,7 +359,8 @@ def weil_restriction_split(sys: NormalizedSystem, census) -> WeilSplitData:
             acc = fld.zero
             for x, y in zip(row, v):
                 acc = fld.add(acc, fld.mul(x, y))
-            assert fld.is_zero(acc), "conjugate plane is not the radical"
+            if not fld.is_zero(acc):
+                raise InternalError("conjugate plane is not the radical")
     stacked = [[R[i] for R in R1 + R2] for i in range(7)]
     if matrix_rank([r[:] for r in stacked], fld) != 6:
         raise PlanesNotDisjoint("singular planes intersect")
@@ -369,14 +371,16 @@ def weil_restriction_split(sys: NormalizedSystem, census) -> WeilSplitData:
         if matrix_rank(trial, fld) == 7:
             rat_col = k
             break
-    assert rat_col is not None
+    if rat_col is None:
+        raise InternalError("no standard vector completes the planes")
     e = [fld.one if i == rat_col else fld.zero for i in range(7)]
     B = [[col[i] for col in R1 + R2 + [e]] for i in range(7)]
     Bt = mat_transpose(B)
     gram1 = mat_mul(mat_mul(Bt, N1, fld), B, fld)
     for i in range(3):
         for j in range(7):
-            assert fld.is_zero(gram1[i][j]) and fld.is_zero(gram1[j][i])
+            if not (fld.is_zero(gram1[i][j]) and fld.is_zero(gram1[j][i])):
+                raise InternalError("split Gram matrix is not block diagonal")
     T = [[gram1[i][j] for j in range(3, 7)] for i in range(3, 7)]
     return WeilSplitData(fld=fld, factor=m, lambda1=gen,
                          plane1=tuple(tuple(v) for v in R1),
@@ -409,7 +413,8 @@ def weil_reconstruct(w: WeilSplitData):
             fe = fld.mul(dli, fld.sub(fld.mul(lam2, N1[i][j]),
                                       fld.mul(lam1, N2[i][j])))
             ge = fld.mul(dli, fld.sub(N2[i][j], N1[i][j]))
-            assert fe.degree <= 0 and ge.degree <= 0
+            if fe.degree > 0 or ge.degree > 0:
+                raise InternalError("reconstructed form is not rational")
             frow.append(fe[0] if fe.coeffs else Fraction(0))
             grow.append(ge[0] if ge.coeffs else Fraction(0))
         Fg.append(frow)
@@ -419,7 +424,8 @@ def weil_reconstruct(w: WeilSplitData):
 
 def field_sqrt(alpha: Poly, fld: QuotientField):
     """Square root in a quadratic field Q[t]/(t^2 + B t + C), or None."""
-    assert fld.degree == 2
+    if fld.degree != 2:
+        raise InternalError("field_sqrt needs a quadratic field")
     alpha = fld.reduce(alpha)
     if alpha.is_zero():
         return Poly([])
@@ -520,7 +526,8 @@ def weil_point_transfer(w: WeilSplitData, qpoint) -> ProjectivePoint:
         acc = fld.zero
         for j in range(7):
             acc = fld.add(acc, fld.mul(B[i][j], y[j]))
-        assert acc.degree <= 0, "transferred point is not rational"
+        if acc.degree > 0:
+            raise InternalError("transferred point is not rational")
         coords.append(acc[0] if acc.coeffs else Fraction(0))
     return ProjectivePoint(tuple(coords))
 
@@ -944,7 +951,8 @@ def generate_planted_instance(n, conic_form: QuadraticForm, planted_point,
         gg[istar][istar] -= G0.evaluate(P0.coords) / slope
         F0 = QuadraticForm(fg)
         G0 = QuadraticForm(gg)
-        assert F0.evaluate(P0.coords) == 0 and G0.evaluate(P0.coords) == 0
+        if F0.evaluate(P0.coords) != 0 or G0.evaluate(P0.coords) != 0:
+            raise InternalError("planted point is not on the instance")
         try:
             cfg = verify_conic_plane(F0, G0, plane)
             sys = normalize_pencil(F0, G0, cfg)

@@ -7,6 +7,7 @@ algebra over Q or a quotient field.  No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,12 @@ class ZeroPolynomial(ValueError):
 
 class NonInvertible(ZeroDivisionError):
     pass
+
+
+class InternalError(RuntimeError):
+    """A certificate or invariant inside the library failed: a bug, never a
+    verdict about the input.  Deliberately neither a ValueError nor an
+    ArithmeticError, so the handlers that skip bad inputs let it through."""
 
 
 def _frac(x) -> Fraction:
@@ -483,6 +490,25 @@ def interpolate(xs, ys) -> Poly:
     for i in range(n - 2, -1, -1):
         poly = poly * Poly([-xs[i], 1]) + Poly([coeffs[i]])
     return poly
+
+
+@functools.lru_cache(maxsize=None)
+def inverse_vandermonde(k: int):
+    """(W, den), integers, with W[i][x] / den the inverse of the Vandermonde
+    matrix at the nodes x = 0..k-1: the polynomial of degree < k through
+    (x, y_x) has coefficients sum_x W[i][x] * y_x / den, lowest first."""
+    V = [[Fraction(x**j) for j in range(k)] for x in range(k)]
+    inv = mat_inverse(V)
+    den = math.lcm(*(c.denominator for row in inv for c in row))
+    W = tuple(tuple(int(c * den) for c in row) for row in inv)
+    return W, den
+
+
+def integer_interpolation(ys):
+    """(numerators, den): the polynomial through (x, ys[x]), x = 0, 1, ...,
+    has coefficients numerators[i] / den, lowest first (ys integers)."""
+    W, den = inverse_vandermonde(len(ys))
+    return [sum(w * y for w, y in zip(row, ys)) for row in W], den
 
 
 def rational_sqrt(x) -> Fraction | None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import sympy
 
-from .exact import _frac, squarefree_part
+from .exact import InternalError, _frac, squarefree_part
 from .forms import (
     ProjectivePoint,
     QuadraticForm,
@@ -266,7 +266,8 @@ def conic_rational_point(t: TernaryForm, volume_cap: int | None = None):
             sol[it[0]], sol[it[1]], sol[solve_idx] = u, w, z
             if any(sol):
                 pt = t.to_original(sol)
-                assert t.original.evaluate(pt.coords) == 0
+                if t.original.evaluate(pt.coords) != 0:
+                    raise InternalError("conic point is not on the conic")
                 return pt, tuple(sol)
     raise SearchExhausted(
         "no point within Holzer bounds despite local solvability")

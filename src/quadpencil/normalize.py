@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import matrix_rank, rational_sqrt
+from .exact import InternalError, matrix_rank, rational_sqrt
 from .forms import (
     LinearSubspace,
     QuadraticForm,
@@ -163,8 +163,10 @@ def normalize_pencil(F0: QuadraticForm, G0: QuadraticForm,
         pencil_change=(f_row, g_row),
         n=n,
         conic_form=restrict_form(F, LinearSubspace.standard(dim, (0, 1, 2))))
-    assert form_rank(sys.conic_form) == 3
-    assert restrict_form(G, LinearSubspace.standard(dim, (0, 1, 2))).is_zero()
+    if form_rank(sys.conic_form) != 3:
+        raise InternalError("normalized conic does not have rank 3")
+    if not restrict_form(G, LinearSubspace.standard(dim, (0, 1, 2))).is_zero():
+        raise InternalError("normalized G does not vanish on the plane")
     return sys
 
 

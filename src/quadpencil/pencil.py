@@ -3,6 +3,13 @@
 Discriminant polynomial, homogenization bookkeeping, rank profile of every
 singular member over its exact field of definition, the multiplicity bound,
 the low-rank census, condition (E), and the smoothness criterion.
+
+Ranks over Q[t]/(m): a factor m of multiplicity 1 and degree >= 2 takes its
+record from one column C(t) of adj(F + tG).  The identity
+(F + tG) C(t) = P(t) e_col, checked in integers at dim + 1 nodes, gives
+(F + aG) C(a) = 0 at a root a of m, so a column with C(a) != 0 spans the
+radical and certifies rank dim - 1.  Repeated factors, whose rank can drop
+further, use the echelon over Q[t]/(m).
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ from fractions import Fraction
 
 from .exact import (
     Factorization,
+    InternalError,
     Poly,
     QuotientField,
     det_int,
     factor_poly,
-    interpolate,
+    integer_interpolation,
     matrix_rank,
     rank_and_kernel,
 )
@@ -60,25 +68,32 @@ def _proportional(F: QuadraticForm, G: QuadraticForm) -> bool:
     return matrix_rank([[a, b] for a, b in zip(flat_f, flat_g)]) < 2
 
 
-def pencil_det_poly(F: QuadraticForm, G: QuadraticForm) -> Poly:
-    """P(lambda) = det(F + lambda G), exactly, via integer interpolation.
-
-    The entries of F + lambda G have degree <= 1 so deg P <= dim; we clear
-    denominators, evaluate integer determinants at dim+1 nodes and
-    interpolate over Q.
-    """
-    n = F.dim
+def _integer_pencil(F: QuadraticForm, G: QuadraticForm):
+    """(A, B, s): integer Gram matrices with A + xB = s * (F + xG)."""
     dens = [x.denominator for row in F.gram for x in row]
     dens += [x.denominator for row in G.gram for x in row]
     s = math.lcm(*dens)
     A = [[int(x * s) for x in row] for row in F.gram]
     B = [[int(x * s) for x in row] for row in G.gram]
-    xs = list(range(n + 1))
-    ys = []
-    for lam in xs:
-        M = [[A[i][j] + lam * B[i][j] for j in range(n)] for i in range(n)]
-        ys.append(Fraction(det_int(M), s**n))
-    return interpolate(xs, ys)
+    return A, B, s
+
+
+def _member_at(A, B, x):
+    return [[a + x * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def pencil_det_poly(F: QuadraticForm, G: QuadraticForm) -> Poly:
+    """P(lambda) = det(F + lambda G), exactly, via integer interpolation.
+
+    The entries of F + lambda G have degree <= 1 so deg P <= dim; we clear
+    denominators, evaluate integer determinants at the nodes 0..dim and
+    interpolate.
+    """
+    A, B, s = _integer_pencil(F, G)
+    n = len(A)
+    nums, den = integer_interpolation(
+        [det_int(_member_at(A, B, x)) for x in range(n + 1)])
+    return Poly([Fraction(c, den * s**n) for c in nums])
 
 
 def member_matrix(F: QuadraticForm, G: QuadraticForm, field: QuotientField):
@@ -130,6 +145,67 @@ class DiscriminantData:
     def mu_record(self) -> RankRecord:
         return self.records[-1]
 
+    @property
+    def smooth(self) -> bool:
+        """X = {F = G = 0} is smooth: D(mu, lambda) is squarefree of degree
+        dim, i.e. P is squarefree and the mu-multiplicity is <= 1."""
+        return (all(mult == 1 for _, mult in self.factorization.factors)
+                and self.mu_multiplicity <= 1)
+
+
+def _adjugate_column(A, B, dets, col):
+    """Column col of adj(A + tB) as polynomials, certified in integers.
+
+    The cofactors are integer determinants at the nodes x = 0..dim, and
+    dets[x] = det(A + xB) = s^dim P(x).  The check (A + xB) c(x) =
+    dets[x] e_col at those dim + 1 nodes, with every cofactor of degree
+    <= dim - 1, proves the identity of polynomials.  Entries are scaled by
+    a common positive integer.
+    """
+    n = len(A)
+    values = []
+    for x in range(n + 1):
+        M = _member_at(A, B, x)
+        rest = M[:col] + M[col + 1:]
+        c = [(-1) ** (i + col) * det_int([r[:i] + r[i + 1:] for r in rest])
+             for i in range(n)]
+        for r, row in enumerate(M):
+            if sum(a * b for a, b in zip(row, c)) != (dets[x] if r == col
+                                                      else 0):
+                raise InternalError(
+                    f"adjugate column {col} fails (F + tG) C = P e at t = {x}")
+        values.append(c)
+    column = []
+    for i in range(n):
+        nums, _ = integer_interpolation([c[i] for c in values])
+        if nums[n] != 0:
+            raise InternalError(f"cofactor ({i}, {col}) has degree {n}")
+        column.append(Poly(nums))
+    return column
+
+
+def _adjugate_kernel(A, B, dets, fld: QuotientField, columns: dict):
+    """Radical vector of F + tG over fld, for a simple root of P.
+
+    adj = c v v^T at rank dim - 1, so the last column nonzero mod m is a
+    multiple of the radical vector v; scaled to end in 1 it is the vector
+    rank_and_kernel returns.  columns caches the certified integer columns
+    across the factors of one discriminant.
+    """
+    n = len(A)
+    for col in range(n - 1, -1, -1):
+        if col not in columns:
+            columns[col] = _adjugate_column(A, B, dets, col)
+        v = [fld.reduce(c) for c in columns[col]]
+        last = max((i for i, x in enumerate(v) if not fld.is_zero(x)),
+                   default=None)
+        if last is not None:
+            inv = fld.inv(v[last])
+            return tuple(fld.mul(inv, x) for x in v)
+    # Jacobi: P' = tr(adj(F + tG) G), nonzero at a simple root
+    raise InternalError(f"adj(F + tG) vanishes at a simple root of "
+                        f"{fld.modulus!r}")
+
 
 def discriminant(p: Pencil) -> DiscriminantData:
     F, G = p.F, p.G
@@ -139,6 +215,9 @@ def discriminant(p: Pencil) -> DiscriminantData:
         raise IdenticallyZeroDiscriminant(
             "det(F + lambda G) vanishes identically")
     fac = factor_poly(P)
+    A, B, s = _integer_pencil(F, G)
+    dets = [P.evaluate(x) * s**dim for x in range(dim + 1)]
+    columns = {}
     records = []
     for m, mult in fac.factors:
         if m.degree == 1:
@@ -148,13 +227,16 @@ def discriminant(p: Pencil) -> DiscriminantData:
             records.append(RankRecord(
                 kind="factor", factor=m, multiplicity=mult,
                 rank=form_rank(member), radical=tuple(rad.basis), fld=None))
+            continue
+        fld = QuotientField(m.monic(), check_irreducible=False)
+        if mult == 1:
+            rank = dim - 1
+            rad = [_adjugate_kernel(A, B, dets, fld, columns)]
         else:
-            fld = QuotientField(m.monic(), check_irreducible=False)
-            rows = member_matrix(F, G, fld)
-            rank, rad = rank_and_kernel(rows, fld)
-            records.append(RankRecord(
-                kind="factor", factor=m, multiplicity=mult,
-                rank=rank, radical=tuple(tuple(v) for v in rad), fld=fld))
+            rank, rad = rank_and_kernel(member_matrix(F, G, fld), fld)
+        records.append(RankRecord(
+            kind="factor", factor=m, multiplicity=mult,
+            rank=rank, radical=tuple(tuple(v) for v in rad), fld=fld))
     mu_mult = dim - P.degree
     rad_g = radical_subspace(G)
     records.append(RankRecord(
@@ -240,14 +322,10 @@ def condition_E_check(d: DiscriminantData) -> ConditionEReport:
 
 
 def smoothness_test(p: Pencil) -> bool:
-    """Smoothness of X = {F = G = 0} as a complete intersection.
-
-    Verdict: D(mu, lambda) squarefree of degree dim, i.e. P nonzero and
-    squarefree with mu-multiplicity <= 1.
-    """
+    """Smoothness of X = {F = G = 0} as a complete intersection; see
+    DiscriminantData.smooth.  False when P vanishes identically."""
     try:
         d = discriminant(p)
     except IdenticallyZeroDiscriminant:
         return False
-    return (all(mult == 1 for _, mult in d.factorization.factors)
-            and d.mu_multiplicity <= 1)
+    return d.smooth

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quadpencil
 from quadpencil.cli import (
     InstanceError,
     dump_canonical,
@@ -14,6 +18,7 @@ from quadpencil.cli import (
     rat_to_json,
 )
 from quadpencil.forms import LinearSubspace, QuadraticForm
+from quadpencil.pencil import Pencil, smoothness_test
 
 
 def write_instance(tmp_path, F, G, plane, meta=None, name="inst.json"):
@@ -176,3 +181,65 @@ class TestCliExitCodes:
             return True
 
         assert no_floats(json.loads(open(rep).read()))
+
+
+class TestAnalyzeSmooth:
+    # the TestSmoothness pencils of test_pencil.py: smooth, a repeated
+    # factor, mu-multiplicity two
+    @pytest.mark.parametrize("g_diag", [[0, 1, 2, 3, 4], [1, 1, 2, 3, 4],
+                                        [0, 0, 2, 3, 4]])
+    def test_smooth_matches_smoothness_test(self, tmp_path, g_diag):
+        F = QuadraticForm.diagonal([1, 1, 1, 1, 1])
+        G = QuadraticForm.diagonal(g_diag)
+        inst = write_instance(tmp_path, F, G,
+                              LinearSubspace.standard(5, (0, 1, 2)))
+        rep = tmp_path / "r.json"
+        assert main(["analyze", inst, "--out", str(rep)]) == 0
+        assert (json.loads(rep.read_text())["smooth"]
+                == smoothness_test(Pencil(F, G)))
+
+
+# Run under python -O, so no assert statement can be what catches the
+# fault: det_int is patched so that only the (dim-1)-minors, the adjugate
+# cofactors, come out off by one.
+_BROKEN_COFACTORS = """
+import sys
+
+import quadpencil.pencil as pencil
+from quadpencil.cli import DEFAULT_CONIC, main
+from quadpencil.descent import generate_planted_instance
+from quadpencil.exact import InternalError
+from quadpencil.forms import QuadraticForm
+
+det_int = pencil.det_int
+pencil.det_int = lambda rows: det_int(rows) + (len(rows) == 5)
+code = main(["analyze", sys.argv[1]])
+try:
+    generate_planted_instance(5, QuadraticForm(DEFAULT_CONIC),
+                              [1, 0, 1, 2, -1, 1], seed=7)
+    outcome = "returned"
+except InternalError:
+    outcome = "internal-error"
+except Exception as exc:
+    outcome = type(exc).__name__
+print(sys.flags.optimize, code, outcome)
+"""
+
+
+class TestInternalErrors:
+    def test_failed_certificate_exits_four(self, tmp_path):
+        inst = str(tmp_path / "p5.json")
+        assert main(["gen", "--n", "5", "--seed", "9", "--out", inst]) == 0
+        src = os.path.dirname(os.path.dirname(quadpencil.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _BROKEN_COFACTORS, inst],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        # analyze exits 4 with a one-line message; the generator raises
+        # InternalError at once instead of retrying past it
+        assert proc.stdout.split() == ["1", "4", "internal-error"]
+        assert "internal error: " in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -10,6 +10,7 @@ from quadpencil.exact import (
     QuotientField,
     det_int,
     factor_poly,
+    integer_interpolation,
     interpolate,
     is_irreducible,
     matrix_rank,
@@ -154,6 +155,16 @@ class TestLinearAlgebra:
         assert p.degree < npts
         for x, y in zip(range(npts), ys):
             assert p.evaluate(x) == y
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_integer_interpolation_matches_newton(self, k):
+        rng = random.Random(k)
+        for _ in range(5):
+            ys = [rng.randint(-10**6, 10**6) for _ in range(k)]
+            nums, den = integer_interpolation(ys)
+            assert len(nums) == k
+            assert (Poly([Fraction(c, den) for c in nums])
+                    == interpolate(list(range(k)), ys))
 
 
 class TestNumberHelpers:

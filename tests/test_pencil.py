@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quadpencil.exact import Poly
+from quadpencil.exact import Poly, rank_and_kernel
 from quadpencil.forms import QuadraticForm, form_rank
 from quadpencil.pencil import (
     CensusReport,
@@ -14,12 +14,13 @@ from quadpencil.pencil import (
     condition_E_check,
     discriminant,
     low_rank_census,
+    member_matrix,
     multiplicity_bound_check,
     pencil_det_poly,
     smoothness_test,
 )
 
-from .support import random_pencil_forms
+from .support import build_conjugate_weil_instance, random_pencil_forms
 
 
 def _det_by_cofactor(rows):
@@ -102,6 +103,40 @@ class TestDiscriminant:
         except IdenticallyZeroDiscriminant:
             return
         assert multiplicity_bound_check(d, dim - 1)
+
+
+class TestAdjugateKernel:
+    """Simple factors take their record from an adjugate column; the
+    echelon over Q[t]/(m) is the oracle."""
+
+    @pytest.mark.parametrize("height", [3, 9])
+    @pytest.mark.parametrize("dim", range(3, 10))
+    def test_simple_factors_match_echelon(self, dim, height):
+        rng = random.Random(100 * dim + height)
+        checked = 0
+        for _ in range(2):
+            F, G = random_pencil_forms(rng, dim, height)
+            try:
+                d = discriminant(Pencil(F, G))
+            except IdenticallyZeroDiscriminant:
+                continue
+            for r in d.factor_records():
+                if r.factor.degree < 2 or r.multiplicity != 1:
+                    continue
+                rank, ker = rank_and_kernel(member_matrix(F, G, r.fld), r.fld)
+                assert r.rank == rank == dim - 1
+                assert r.radical == tuple(tuple(v) for v in ker)
+                checked += 1
+        assert checked >= 1
+
+    def test_repeated_factor_keeps_echelon(self):
+        # conjugate-Weil P^6: the quadratic factor has multiplicity 3 and
+        # its members have rank 4, three below full
+        F0, G0, _, _ = build_conjugate_weil_instance(seed=0)
+        d = discriminant(Pencil(F0, G0))
+        rec = [r for r in d.factor_records() if r.factor.degree == 2]
+        assert len(rec) == 1 and rec[0].multiplicity == 3
+        assert rec[0].rank == 4 and len(rec[0].radical) == 3
 
 
 class TestCensus:
