@@ -50,6 +50,7 @@ from .descent import (
     enumerate_hyperplanes,
     find_rational_point,
     generate_planted_instance,
+    replay_obstruction,
     replay_trace,
     residual_conic_fiber,
     v0_membership,

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .descent import (
     RetriesExhausted,
     SearchConfig,
+    definite_member,
     find_rational_point,
     generate_planted_instance,
 )
@@ -33,6 +34,7 @@ from .pencil import (
     condition_E_check,
     discriminant,
     multiplicity_bound_check,
+    pencil_det_poly,
 )
 
 
@@ -276,6 +278,11 @@ def cmd_local_check(args):
               "conic": {"reduced": [ternary.a, ternary.b, ternary.c],
                         "verdicts": [[pl, ok] for pl, ok in lrep.verdicts],
                         "globally_solvable": lrep.globally_solvable}}
+    conic_real = dict(lrep.verdicts)["oo"]
+    report["real"] = {
+        "conic_real": conic_real,
+        "definite_member": definite_member(
+            sys_, pencil_det_poly(sys_.F, sys_.G), conic_real)}
     modp = {}
     for p in (2, 3):
         if p ** sys_.dim > args.prime_budget:

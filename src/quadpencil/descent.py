@@ -7,9 +7,10 @@ rank-4 pair in P^6 by splitting the Weil restriction.  Every P^4 point
 comes from a conic-bundle fiber; direct enumeration serves only routes
 without a descent and the discriminant-zero case.  One descent step,
 ``descend_into``, is taken by both the search and ``replay_trace``, so
-replay re-derives each descent level exactly as the search did.  Also
-provides the seeded planted-instance generator used by the test and
-acceptance suites.
+replay re-derives each descent level exactly as the search did.  The
+real place is decided exactly, by one signature per interval between the
+real roots of det(F + lambda G) (``definite_member``).  Also provides the
+seeded planted-instance generator used by the test and acceptance suites.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .exact import (
     matrix_rank,
     rank_and_kernel,
     rational_sqrt,
+    real_root_intervals,
 )
 from .forms import (
     LinearSubspace,
@@ -561,7 +563,6 @@ class SearchConfig:
     direct_height: int = 3
     prime_budget: int = 200_000
     obstruction_primes: tuple = (3,)
-    definite_scan: int = 5
 
 
 @dataclass
@@ -579,7 +580,7 @@ def _verify_on_original(F0, G0, coords):
     vf = F0.evaluate(coords)
     vg = G0.evaluate(coords)
     if vf != 0 or vg != 0:
-        raise AssertionError(f"candidate point fails verification: {vf}, {vg}")
+        raise InternalError(f"candidate point fails verification: {vf}, {vg}")
 
 
 def _is_smooth_point(F0, G0, coords):
@@ -602,19 +603,69 @@ def _finish(F0, G0, embed, local_coords, trace, route, report, method):
                          report=report)
 
 
-def _definite_member(sys: NormalizedSystem, scan: int):
-    """A pencil member definite over R forces X(R) to be empty."""
-    lams = [Fraction(0)]
-    for k in range(1, scan + 1):
-        lams += [Fraction(k), Fraction(-k)]
-    for lam in lams:
-        member = sys.F.add(sys.G.scale(lam))
-        pos, neg, zero = signature(member)
-        if zero == 0 and (pos == sys.dim or neg == sys.dim):
-            return lam, (pos, neg)
-    pos, neg, zero = signature(sys.G)
-    if zero == 0 and (pos == sys.dim or neg == sys.dim):
-        return "mu", (pos, neg)
+def _lambda_key(lam):
+    return (abs(lam), lam < 0)
+
+
+def _above(root):
+    """Least integer greater than the root isolated by the interval."""
+    a, b = root
+    return int(b) if a < b and b.denominator == 1 else math.floor(b) + 1
+
+
+def _below(root):
+    """Greatest integer less than the root isolated by the interval."""
+    a, b = root
+    return int(a) if a < b and a.denominator == 1 else math.ceil(a) - 1
+
+
+def real_sample_points(P: Poly, dim: int):
+    """One rational lambda in each open interval of P^1(R) minus the real
+    roots of P, with infinity a root when deg P < dim, in the order
+    (|lambda|, lambda < 0).
+
+    In each interval the integer of least |lambda|, non-negative first, is
+    taken when there is one, else the midpoint of the gap between the
+    isolating intervals of its two end roots (real_root_intervals leaves
+    no integer strictly inside those)."""
+    roots = real_root_intervals(P)
+    if not roots:
+        return [Fraction(0)]
+    left = min(0, _below(roots[0]))
+    right = max(0, _above(roots[-1]))
+    if P.degree < dim:
+        points = [left, right]
+    else:  # no root at infinity: the two unbounded pieces are one interval
+        points = [min(left, right, key=_lambda_key)]
+    for lo, hi in zip(roots, roots[1:]):
+        k0, k1 = _above(lo), _below(hi)
+        points.append(min(max(0, k0), k1) if k0 <= k1 else (lo[1] + hi[0]) / 2)
+    return sorted((Fraction(x) for x in points), key=_lambda_key)
+
+
+def definite_member(sys: NormalizedSystem, P: Poly, conic_real: bool):
+    """Decide the real place: {"lambda", "signature"} of a definite member
+    F + lambda G, whose existence makes X(R) empty, or None when X(R) is
+    nonempty.  P is det(F + lambda G); conic_real says whether the conic
+    has a real point.
+
+    By Finsler's lemma and Calabi's theorem (P. Finsler, Comment. Math.
+    Helv. 9, 1937; E. Calabi, Proc. AMS 15, 1964) two real forms in at
+    least 3 variables have no common nontrivial real zero iff some real
+    combination of them is definite.  G vanishes on the plane, so it is
+    never definite and only the members F + lambda G count.  Each of them
+    restricts to the conic on the plane: a real conic point is a real
+    point of X and settles the question with no signature computed.
+    Otherwise definiteness is an open condition and the signature is
+    constant between consecutive real roots of P, so one signature per
+    interval of real_sample_points decides it.
+    """
+    if conic_real:
+        return None
+    for lam in real_sample_points(P, sys.dim):
+        pos, neg, _ = signature(sys.F.add(sys.G.scale(lam)))
+        if sys.dim in (pos, neg):
+            return {"lambda": str(lam), "signature": [pos, neg]}
     return None
 
 
@@ -655,12 +706,11 @@ def find_rational_point(F0: QuadraticForm, G0: QuadraticForm,
         return _finish(F0, G0, embed, local, trace, report.route, report,
                        method="conic")
 
-    # step 2: local obstruction screen
-    definite = _definite_member(sys, config.definite_scan)
+    # step 2: local obstruction screen, the real place decided exactly
+    definite = definite_member(sys, report.disc.P,
+                               dict(conic_report.verdicts)["oo"])
     if definite is not None:
-        lam, sig = definite
-        obstruction = {"kind": "definite-real-member",
-                       "lambda": str(lam), "signature": list(sig)}
+        obstruction = {"kind": "definite-real-member", **definite}
         return SearchOutcome(status="obstruction", obstruction=obstruction,
                              route=report.route, report=report, trace=trace)
     for p in config.obstruction_primes:

@@ -234,6 +234,48 @@ def is_irreducible(p: Poly) -> bool:
         and fac.factors[0][0].degree == p.degree
 
 
+def real_root_intervals(p: Poly):
+    """Isolating intervals (a, b) of the distinct real roots of a nonzero
+    p, in increasing order, with rational endpoints.
+
+    a == b is a rational root, read off a linear factor.  Otherwise the
+    root is irrational and lies strictly inside; the closed interval holds
+    no rational root and no integer other than its ends.  sympy isolates
+    the roots of the product Q of the nonlinear factors exactly; each
+    interval is then bisected by the exact sign of Q, at an integer
+    inside it or at a rational root, until neither is left.
+    """
+    rational, Q = [], Poly([1])
+    for f, _ in factor_poly(p).factors:
+        if f.degree == 1:
+            rational.append(-f[0] / f[1])
+        else:
+            Q = Q * f
+    out = [(c, c) for c in rational]
+    sp = sympy.Poly(list(reversed(Q.coeffs)), _t, domain="QQ")
+    for (lo, hi), _ in sp.intervals():
+        a, b = _frac(lo), _frac(hi)
+        if (Q.evaluate(a) > 0) == (Q.evaluate(b) > 0):
+            raise InternalError(f"no sign change of {Q!r} on [{a}, {b}]")
+        while True:
+            inside = [c for c in rational if a < c < b]
+            k = max(math.floor((a + b) / 2), math.floor(a) + 1)
+            if inside:
+                split = inside[0]
+            elif a in rational or b in rational:
+                split = (a + b) / 2
+            elif k < b:
+                split = Fraction(k)
+            else:
+                break
+            if (Q.evaluate(split) > 0) == (Q.evaluate(a) > 0):
+                a = split
+            else:
+                b = split
+        out.append((a, b))
+    return sorted(out)
+
+
 class QuotientField:
     """The field Q[t]/(m) for a monic irreducible modulus m.
 

@@ -28,7 +28,7 @@ class NotLocallySolvable(ValueError):
         super().__init__(f"no local solution at {self.places}")
 
 
-class SearchExhausted(RuntimeError):
+class SearchExhausted(InternalError):
     """Holzer-bounded search failed despite local solvability: internal bug."""
 
 

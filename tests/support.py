@@ -192,3 +192,92 @@ def hilbert_oracle(a, b, p, depth=6):
 
 def hilbert_oracle_real(a, b):
     return not (a < 0 and b < 0)
+
+
+# ---------------------------------------------------------------------------
+# the real place: pencils with a far definite member, and a brute oracle
+
+
+def _unimodular(rng, dim):
+    """Integer matrix of determinant 1 (a product of elementary row
+    additions with multipliers +-1) and its inverse."""
+    V = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    W = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(2 * dim):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-1, 1))
+        V[i] = [a + c * b for a, b in zip(V[i], V[j])]
+        for row in W:
+            row[j] -= c * row[i]
+    return V, W
+
+
+def far_definite_instance(rng, n, lam0, noise=0):
+    """(F0, G0, plane) whose member F0 + lam0 G0 is the positive definite
+    sum of squares (x0 + a.t)^2 + (x1 + b.t)^2 + (x2 + c.t)^2 + |t|^2,
+    t = (x3..xn), with G0 diagonal on the tail and G0(e3) > P(e3),
+    G0(e4) < -P(e4), so the definite members lie within 1 of lam0.  With
+    noise > 0, F0 gets a random tail block with entries in [-noise, noise]
+    added, which may destroy every definite member.  The forms and the
+    plane are hidden by a unimodular change of coordinates.
+    """
+    dim = n + 1
+    rows = [[int(i == k) for i in range(3)]
+            + [rng.randint(-2, 2) for _ in range(3, dim)] for k in range(3)]
+    rows += [[int(i == k) for i in range(dim)] for k in range(3, dim)]
+    P = [[sum(r[i] * r[j] for r in rows) for j in range(dim)]
+         for i in range(dim)]
+    g = [0] * dim
+    for i in range(3, dim):
+        sign = (1, -1)[i - 3] if i < 5 else rng.choice((1, -1))
+        g[i] = sign * (P[i][i] + rng.randint(1, 3))
+    lam0 = Fraction(lam0)
+    f = [[P[i][j] - (lam0 * g[i] if i == j else 0) for j in range(dim)]
+         for i in range(dim)]
+    for i in range(3, dim):
+        for j in range(i, dim):
+            e = rng.randint(-noise, noise)
+            f[i][j] += e
+            f[j][i] += e * (i != j)
+    V, W = _unimodular(rng, dim)
+
+    def hide(A):
+        return QuadraticForm([[sum(V[k][i] * A[k][l] * V[l][j]
+                                   for k in range(dim) for l in range(dim))
+                               for j in range(dim)] for i in range(dim)])
+
+    G = [[g[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    plane = LinearSubspace.span(
+        dim, [[Fraction(W[i][k]) for i in range(dim)] for k in range(3)])
+    return hide(f), hide(G), plane
+
+
+def sylvester_definite(gram) -> bool:
+    """Definiteness by Sylvester's criterion: Gaussian elimination without
+    pivoting yields the ratios of consecutive leading principal minors,
+    which must be all positive or all negative."""
+    A = [[Fraction(x) for x in row] for row in gram]
+    n = len(A)
+    signs = set()
+    for k in range(n):
+        piv = A[k][k]
+        if piv == 0:
+            return False
+        signs.add(piv > 0)
+        for i in range(k + 1, n):
+            r = A[i][k] / piv
+            for j in range(k, n):
+                A[i][j] -= r * A[k][j]
+    return len(signs) == 1
+
+
+def brute_definite_scan(F, G, height=30, den=4):
+    """First lambda = p/q, |p| <= height, 1 <= q <= den, with F + lambda G
+    definite, or None."""
+    for q in range(1, den + 1):
+        for p in range(-height, height + 1):
+            lam = Fraction(p, q)
+            if sylvester_definite([[a + lam * b for a, b in zip(ra, rb)]
+                                   for ra, rb in zip(F.gram, G.gram)]):
+                return lam
+    return None

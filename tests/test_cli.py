@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import quadpencil
+import quadpencil.descent as descent
+import quadpencil.localsolve as localsolve
 from quadpencil.cli import (
     InstanceError,
     dump_canonical,
@@ -17,7 +20,7 @@ from quadpencil.cli import (
     rat_from_json,
     rat_to_json,
 )
-from quadpencil.forms import LinearSubspace, QuadraticForm
+from quadpencil.forms import LinearSubspace, ProjectivePoint, QuadraticForm
 from quadpencil.pencil import Pencil, smoothness_test
 
 
@@ -131,6 +134,22 @@ class TestCliExitCodes:
             data = json.loads(open(rep).read())
             assert data["command"] == cmd
 
+    def test_local_check_reports_the_real_place(self, tmp_path):
+        # acceptance test 9's definite pencil: F itself is definite
+        F1 = QuadraticForm.diagonal([1, 1, 3, 1, 1])
+        G1 = QuadraticForm.diagonal([0, 0, 0, 1, 2])
+        definite = write_instance(tmp_path, F1, G1,
+                                  LinearSubspace.standard(5, (0, 1, 2)))
+        planted = str(tmp_path / "p5.json")
+        assert main(["gen", "--n", "5", "--seed", "9", "--out", planted]) == 0
+        expected = [{"conic_real": False,
+                     "definite_member": {"lambda": "0", "signature": [5, 0]}},
+                    {"conic_real": True, "definite_member": None}]
+        for inst, real in zip((definite, planted), expected):
+            rep = tmp_path / "r.json"
+            assert main(["local-check", inst, "--out", str(rep)]) == 0
+            assert json.loads(rep.read_text())["real"] == real
+
     def test_invalid_input_exits_three(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -243,3 +262,35 @@ class TestInternalErrors:
         assert proc.stdout.split() == ["1", "4", "internal-error"]
         assert "internal error: " in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    def test_wrong_point_exits_four(self, tmp_path, monkeypatch, capsys):
+        # the conic x0^2 + x1^2 = x2^2 has rational points; a search that
+        # returns one off the conic must fail the final check, not exit 1
+        inst = write_instance(
+            tmp_path, QuadraticForm.diagonal([1, 1, -1, 1, 1]),
+            QuadraticForm.diagonal([0, 0, 0, 1, -1]),
+            LinearSubspace.standard(5, (0, 1, 2)))
+        monkeypatch.setattr(
+            descent, "conic_rational_point",
+            lambda t, **kw: (ProjectivePoint((1, 1, 1)), (1, 1, 1)))
+        assert main(["find-point", inst]) == 4
+        err = capsys.readouterr().err
+        assert "internal error: candidate point fails" in err
+
+    def test_holzer_exhaustion_exits_four(self, tmp_path, monkeypatch,
+                                          capsys):
+        # a local report that wrongly calls x^2 + y^2 - 3 z^2 solvable
+        # sends the Holzer search after a point that does not exist
+        inst = str(tmp_path / "p5.json")
+        assert main(["gen", "--n", "5", "--seed", "9", "--out", inst]) == 0
+        honest = localsolve.conic_local_report
+
+        def lying(t):
+            return dataclasses.replace(honest(t), globally_solvable=True)
+
+        monkeypatch.setattr(localsolve, "conic_local_report", lying)
+        monkeypatch.setattr(descent, "conic_local_report", lying)
+        assert main(["find-point", inst]) == 4
+        assert "internal error: no point within Holzer bounds" in \
+            capsys.readouterr().err

@@ -3,24 +3,29 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadpencil.exact import Poly, QuotientField
+import quadpencil.descent as descent
+from quadpencil.exact import Poly, QuotientField, real_root_intervals
 from quadpencil.forms import (
     LinearSubspace,
     ProjectivePoint,
     QuadraticForm,
     restrict_form,
 )
+from quadpencil.localsolve import conic_local_report, reduce_ternary
 from quadpencil.normalize import (
     hypothesis_report,
     normalize_pencil,
     verify_conic_plane,
 )
+from quadpencil.pencil import pencil_det_poly
 from quadpencil.descent import (
     DegenerateFiber,
     HyperplaneCandidate,
     PointNotOnX,
+    definite_member,
     direct_point_search,
     enumerate_hyperplanes,
     enumerate_p1,
@@ -28,6 +33,7 @@ from quadpencil.descent import (
     find_rational_point,
     generate_planted_instance,
     primitive_vectors,
+    real_sample_points,
     replay_obstruction,
     replay_trace,
     residual_conic_fiber,
@@ -40,7 +46,12 @@ from quadpencil.descent import (
     weil_restriction_split,
 )
 
-from .support import build_conjugate_weil_instance
+from .support import (
+    brute_definite_scan,
+    build_conjugate_weil_instance,
+    far_definite_instance,
+    sylvester_definite,
+)
 
 CONIC = QuadraticForm.diagonal([1, 1, -3])
 
@@ -307,6 +318,153 @@ class TestEndToEnd:
             (F0, G0, plane), pt = _planted(5, seed)
             out = find_rational_point(F0, G0, plane)
             assert out.status != "obstruction"
+
+
+def _poly_from_roots(roots, extra=(1,)):
+    """The product of (t - r) over roots, times the polynomial extra."""
+    p = Poly(list(extra))
+    for r in roots:
+        p = p * Poly([-Fraction(r), 1])
+    return p
+
+
+def _real_roots_between(P, lo, hi):
+    """Distinct real roots of P in the open interval (lo, hi), by sympy's
+    root counting; lo and hi are not roots, None is unbounded."""
+    t = sympy.Symbol("t")
+    sq = sympy.Poly(list(reversed(P.coeffs)), t, domain="QQ").sqf_part()
+    return sq.count_roots(None if lo is None else sympy.Rational(lo),
+                          None if hi is None else sympy.Rational(hi))
+
+
+class TestRealPlace:
+    @pytest.mark.parametrize("P, dim, expected", [
+        # no real root: one interval
+        (Poly([1, 0, 1]), 5, ["0"]),
+        (Poly([1, 0, 1]), 2, ["0"]),
+        # deg P < dim: infinity is a root and splits the outer interval
+        (_poly_from_roots([1, 3]), 3, ["0", "2", "4"]),
+        (_poly_from_roots([1, 3]), 2, ["0", "2"]),
+        # rational roots are degenerate isolating intervals
+        (_poly_from_roots([0, 1]), 3, ["1/2", "-1", "2"]),
+        (_poly_from_roots([Fraction(1, 3), Fraction(2, 3)]), 3,
+         ["0", "1/2", "1"]),
+        # irrational roots +-sqrt(2)
+        (Poly([-2, 0, 1]), 3, ["0", "2", "-2"]),
+        (Poly([-2, 0, 1]), 2, ["0", "2"]),
+        # sympy's interval around 11/26 ends at the rational root 1/3
+        (_poly_from_roots([Fraction(1, 3), Fraction(11, 26),
+                           Fraction(15, 26), Fraction(5, 8)]), 6,
+         ["0", "59/156", "1/2", "125/208", "1"]),
+        # the rational root 1/7 lies in sympy's interval of sqrt(2)/10
+        (Poly([-2, 0, 100]) * Poly([-1, 7]), 3, None),
+    ])
+    def test_branch_cases(self, P, dim, expected):
+        points = real_sample_points(P, dim)
+        if expected is not None:
+            assert [str(x) for x in points] == expected
+        self._check_one_per_interval(P, dim, points)
+
+    @staticmethod
+    def _check_one_per_interval(P, dim, points):
+        assert all(P.evaluate(x) != 0 for x in points)
+        keys = [(abs(x), x < 0) for x in points]
+        assert keys == sorted(keys)
+        xs = sorted(points)
+        inf_root = int(P.degree < dim)
+        total = _real_roots_between(P, None, None) + inf_root
+        assert len(xs) == max(total, 1)
+        for lo, hi in zip(xs, xs[1:]):
+            assert _real_roots_between(P, lo, hi) == 1
+        if len(xs) > 1:
+            wrap = (_real_roots_between(P, None, xs[0]) + inf_root
+                    + _real_roots_between(P, xs[-1], None))
+            assert wrap == 1
+        # within its interval, no integer has a smaller (|k|, k < 0)
+        for x in points:
+            for k in range(-math.ceil(abs(x)), math.ceil(abs(x)) + 1):
+                if (abs(k), k < 0) >= (abs(x), x < 0) or P.evaluate(k) == 0:
+                    continue
+                assert _real_roots_between(P, min(k, x), max(k, x)) > 0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sample_points_differential(self, seed):
+        rng = random.Random(seed)
+        roots = {Fraction(rng.randint(-40, 40), rng.randint(1, 5))
+                 for _ in range(rng.randint(0, 3))}
+        extra = Poly([1])
+        for _ in range(rng.randint(0, 2)):
+            extra = extra * Poly([rng.randint(-30, 30), rng.randint(-9, 9),
+                                  rng.randint(1, 4)])
+        extra = extra * rng.choice((1, -1, 3))
+        P = _poly_from_roots(sorted(roots), extra.coeffs)
+        if rng.random() < 0.3:
+            P = P * _poly_from_roots(sorted(roots)[:1])  # a double root
+        dim = P.degree + rng.choice((0, 0, 1, 2))
+        points = real_sample_points(P, dim)
+        self._check_one_per_interval(P, dim, points)
+        for a, b in real_root_intervals(P):
+            assert a == b or not any(
+                a < k < b for k in range(math.floor(a), math.ceil(b) + 1))
+
+    @pytest.mark.parametrize("lam0", [-37, Fraction(-5, 3), Fraction(1, 2),
+                                      9, 250])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_far_definite_member_certified(self, lam0, n):
+        for seed in range(4):
+            F0, G0, plane = far_definite_instance(
+                random.Random(1000 * n + seed), n, lam0)
+            out = find_rational_point(F0, G0, plane)
+            assert out.status == "obstruction"
+            assert out.obstruction["kind"] == "definite-real-member"
+            assert replay_obstruction(F0, G0, plane, out.obstruction)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_brute_scan_oracle(self, seed):
+        # whenever a brute signature scan over p/q, |p| <= 30, q <= 4, finds
+        # a definite member, so does the decision; every member the
+        # decision reports is definite by Sylvester's criterion
+        rng = random.Random(seed)
+        if seed % 8 == 7:
+            (F0, G0, plane), _ = _planted(rng.choice((4, 5)), seed)
+        else:
+            F0, G0, plane = far_definite_instance(
+                rng, rng.choice((4, 5, 6)),
+                Fraction(rng.randint(-30, 30), rng.randint(1, 4)), noise=2)
+        sys = normalize_pencil(F0, G0, verify_conic_plane(F0, G0, plane))
+        conic_real = dict(conic_local_report(
+            reduce_ternary(sys.conic_form)).verdicts)["oo"]
+        found = definite_member(sys, pencil_det_poly(sys.F, sys.G),
+                                conic_real)
+        brute = brute_definite_scan(sys.F, sys.G)
+        if brute is not None:
+            assert found is not None
+        if found is not None:
+            lam = Fraction(found["lambda"])
+            assert sylvester_definite(sys.F.add(sys.G.scale(lam)).gram)
+        if conic_real:
+            assert brute is None and found is None
+
+    def test_planted_instances_compute_no_signature(self, monkeypatch):
+        calls = []
+        real_signature = descent.signature
+
+        def counting(F):
+            calls.append(F.dim)
+            return real_signature(F)
+
+        monkeypatch.setattr(descent, "signature", counting)
+        for n, seed in ((4, 91), (5, 21), (6, 22)):
+            (F0, G0, plane), _ = _planted(n, seed)
+            assert find_rational_point(F0, G0, plane).status == "point"
+        assert calls == []
+        F1 = QuadraticForm.diagonal([1, 1, 3, 1, 1])
+        G1 = QuadraticForm.diagonal([0, 0, 0, 1, 2])
+        plane = LinearSubspace.standard(5, (0, 1, 2))
+        out = find_rational_point(F1, G1, plane)
+        assert out.obstruction == {"kind": "definite-real-member",
+                                   "lambda": "0", "signature": [5, 0]}
+        assert calls == [5]
 
 
 class TestP4Fibers:
