@@ -46,7 +46,6 @@ from .forms import (
 )
 from .localsolve import (
     BudgetExceeded,
-    SearchVolumeExceeded,
     conic_local_report,
     conic_rational_point,
     modp_counts,
@@ -558,7 +557,6 @@ class SearchConfig:
     height_bound: int = 50
     hyperplanes_per_level: int = 24
     fibers_max: int = 96
-    conic_volume_cap: int = 4_000_000
     weil_bound: int = 6
     direct_height: int = 3
     prime_budget: int = 200_000
@@ -673,6 +671,7 @@ def find_rational_point(F0: QuadraticForm, G0: QuadraticForm,
                         plane: LinearSubspace,
                         config: SearchConfig = SearchConfig()):
     cfg = verify_conic_plane(F0, G0, plane)
+    Pencil(F0, G0)  # rejects proportional F0, G0, as every command does
     trace = {"levels": []}
     try:
         sys = normalize_pencil(F0, G0, cfg)
@@ -849,12 +848,7 @@ def _solve_p4(F0, G0, sys, embed, report, trace, config):
         fiber_log.append(entry)
         if not lrep.globally_solvable:
             continue
-        try:
-            pt3, diag_sol = conic_rational_point(
-                ternary, volume_cap=config.conic_volume_cap)
-        except SearchVolumeExceeded:
-            entry["skip"] = "search-volume"
-            continue
+        pt3, diag_sol = conic_rational_point(ternary)
         y = list(pt3.coords)
         local = [sum(fiber.embedding.matrix()[i][j] * y[j] for j in range(3))
                  for i in range(5)]
@@ -865,9 +859,16 @@ def _solve_p4(F0, G0, sys, embed, report, trace, config):
         trace["fibers"] = fiber_log
         return _finish(F0, G0, embed, local, trace, report.route, report,
                        method="fiber")
+    # every fiber tried was locally insolvable: name the budget that ended
+    # the walk
+    budget = (f"fibers_max={config.fibers_max}"
+              if fibers_tried >= config.fibers_max
+              else f"height_bound={config.height_bound}")
     trace["fibers"] = fiber_log
+    note = (f"fiber search exhausted: {budget} reached, {fibers_tried} "
+            f"fibers locally insolvable")
     return SearchOutcome(status="exhausted", trace=trace, route=report.route,
-                         report=report, notes=("fiber search exhausted",))
+                         report=report, notes=(note,))
 
 
 def _solve_weil(F0, G0, sys, embed, report, trace, config):

@@ -1,7 +1,8 @@
 """Exact local solvability machinery.
 
-Hilbert symbols at all places of Q, conic local-global verdicts, bounded
-Legendre search for rational points on conics (Holzer bound), isotropy of
+Hilbert symbols at all places of Q, conic local-global verdicts, rational
+points on conics by Lagrange descent with Gaussian lattice reduction and
+Holzer-Mordell reduction (Cremona-Rusin, Math. Comp. 72, 2003), isotropy of
 diagonalized quadratic forms over completions, and mod-p point counting.
 """
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.solvers.diophantine.diophantine import descent, holzer
 
 from .exact import InternalError, _frac, squarefree_part
 from .forms import (
@@ -26,14 +28,6 @@ class NotLocallySolvable(ValueError):
     def __init__(self, places):
         self.places = tuple(places)
         super().__init__(f"no local solution at {self.places}")
-
-
-class SearchExhausted(InternalError):
-    """Holzer-bounded search failed despite local solvability: internal bug."""
-
-
-class SearchVolumeExceeded(RuntimeError):
-    """Caller-imposed cap on the Holzer search volume was hit (fiber skipped)."""
 
 
 class BudgetExceeded(ValueError):
@@ -215,7 +209,10 @@ class LocalReport:
 
 
 def conic_bad_places(t: TernaryForm):
-    primes = sorted(set(sympy.primefactors(abs(t.a * t.b * t.c))) | {2})
+    # factor a, b, c apart: factoring their product costs far more once two
+    # of them carry large primes
+    primes = sorted({2}.union(*(sympy.primefactors(abs(x))
+                                for x in (t.a, t.b, t.c))))
     return [Place.real()] + [Place.prime(p) for p in primes]
 
 
@@ -230,47 +227,61 @@ def conic_local_report(t: TernaryForm) -> LocalReport:
                        globally_solvable=all(ok for _, ok in verdicts))
 
 
-def conic_rational_point(t: TernaryForm, volume_cap: int | None = None):
-    """Primitive point on a x^2 + b y^2 + c z^2 = 0 by exhaustive search
-    within the Holzer bounds, pulled back to the original coordinates.
+def _legendre_solution(a: int, b: int, c: int):
+    """Nonzero integer (x, y, z) with a x^2 + b y^2 + c z^2 = 0, for a, b, c
+    squarefree, pairwise coprime and locally solvable everywhere.
 
-    Returns (point_in_original_coords, diagonal_solution).
+    Lagrange descent with Gaussian lattice reduction solves
+    z^2 = -ac x^2 - bc y^2; c divides that z because c is squarefree.
+    Holzer-Mordell reduction then shrinks the solution (J. E. Cremona and
+    D. Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005).  Both
+    run in time polynomial in the bit size of a, b, c, apart from the
+    factoring that square roots modulo bc need.
+    """
+    z, x, y = descent(-a * c, -b * c)
+    z //= c
+    g = math.gcd(x, y, z)
+    x, y, z = x // g, y // g, z // g
+    # holzer wants A X^2 + B Y^2 = C Z^2 with A, B, C > 0
+    if (a > 0) == (b > 0):
+        x, y, z = holzer(x, y, z, abs(a), abs(b), abs(c))
+    elif (a > 0) == (c > 0):
+        x, z, y = holzer(x, z, y, abs(a), abs(c), abs(b))
+    else:
+        y, z, x = holzer(y, z, x, abs(b), abs(c), abs(a))
+    return x, y, z
+
+
+def conic_rational_point(t: TernaryForm):
+    """Primitive point on a x^2 + b y^2 + c z^2 = 0 by Lagrange descent
+    (Cremona-Rusin), pulled back to the original coordinates.
+
+    Returns (point_in_original_coords, diagonal_solution).  Raises
+    NotLocallySolvable when some place obstructs, and InternalError when
+    the descent fails on a conic the local report calls solvable: by
+    Legendre's theorem a point exists, so that is a bug.
     """
     report = conic_local_report(t)
     if not report.globally_solvable:
         raise NotLocallySolvable(report.failing_places())
     a, b, c = t.a, t.b, t.c
-    bounds = [math.isqrt(abs(b * c)), math.isqrt(abs(a * c)),
-              math.isqrt(abs(a * b))]
-    # solve for the variable with the largest Holzer bound, iterate the rest
-    solve_idx = max(range(3), key=lambda i: bounds[i])
-    it = [i for i in range(3) if i != solve_idx]
-    coeff = [a, b, c]
-    cs = coeff[solve_idx]
-    if volume_cap is not None:
-        if (bounds[it[0]] + 1) * (bounds[it[1]] + 1) > volume_cap:
-            raise SearchVolumeExceeded(
-                f"Holzer search volume exceeds cap {volume_cap}")
-    for u in range(bounds[it[0]] + 1):
-        for w in range(bounds[it[1]] + 1):
-            rhs = -(coeff[it[0]] * u * u + coeff[it[1]] * w * w)
-            if rhs % cs:
-                continue
-            q, r = divmod(rhs, cs)
-            if q < 0:
-                continue
-            z = math.isqrt(q)
-            if z * z != q:
-                continue
-            sol = [0, 0, 0]
-            sol[it[0]], sol[it[1]], sol[solve_idx] = u, w, z
-            if any(sol):
-                pt = t.to_original(sol)
-                if t.original.evaluate(pt.coords) != 0:
-                    raise InternalError("conic point is not on the conic")
-                return pt, tuple(sol)
-    raise SearchExhausted(
-        "no point within Holzer bounds despite local solvability")
+    try:
+        sol = _legendre_solution(a, b, c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        # sympy signals a missing square root mod |B| by a TypeError
+        raise InternalError(
+            f"Lagrange descent failed despite local solvability: {exc!r}")
+    g = math.gcd(*sol) or 1
+    sol = tuple(abs(v) // g for v in sol)
+    # real checks: sympy's holzer and gaussian_reduce assert, and python -O
+    # strips those
+    if not any(sol) or a * sol[0] ** 2 + b * sol[1] ** 2 + c * sol[2] ** 2:
+        raise InternalError(
+            f"Lagrange descent returned {sol}, not a point of the conic")
+    pt = t.to_original(sol)
+    if t.original.evaluate(pt.coords) != 0:
+        raise InternalError("conic point is not on the conic")
+    return pt, sol
 
 
 def quadric_isotropy(F: QuadraticForm, v: Place) -> bool:

@@ -26,7 +26,6 @@ from .exact import (
     det_int,
     factor_poly,
     integer_interpolation,
-    matrix_rank,
     rank_and_kernel,
 )
 from .forms import QuadraticForm, form_rank, radical_subspace
@@ -60,12 +59,14 @@ class Pencil:
 
 
 def _proportional(F: QuadraticForm, G: QuadraticForm) -> bool:
-    rows = []
     flat_f = [x for row in F.gram for x in row]
     flat_g = [x for row in G.gram for x in row]
-    if all(x == 0 for x in flat_f) or all(x == 0 for x in flat_g):
+    k = next((i for i, g in enumerate(flat_g) if g != 0), None)
+    if k is None or all(x == 0 for x in flat_f):
         return True
-    return matrix_rank([[a, b] for a, b in zip(flat_f, flat_g)]) < 2
+    # rank < 2 iff every 2x2 minor against the nonzero entry g_k vanishes
+    return all(f * flat_g[k] == flat_f[k] * g
+               for f, g in zip(flat_f, flat_g))
 
 
 def _integer_pencil(F: QuadraticForm, G: QuadraticForm):

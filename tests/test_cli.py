@@ -150,6 +150,38 @@ class TestCliExitCodes:
             assert main(["local-check", inst, "--out", str(rep)]) == 0
             assert json.loads(rep.read_text())["real"] == real
 
+    @pytest.mark.parametrize("f_diag, factor", [([1, 1, 1, 1, 1], 2),
+                                                ([1, 1, 1, 1, -101], -3)])
+    def test_proportional_forms_rejected(self, tmp_path, capsys, f_diag,
+                                         factor):
+        # find-point rejects G = factor * F as analyze does, whether X(R)
+        # is empty (definite F) or not (no point of height <= 4 either)
+        F = QuadraticForm.diagonal(f_diag)
+        inst = write_instance(tmp_path, F, F.scale(factor),
+                              LinearSubspace.standard(5, (0, 1, 2)))
+        assert main(["find-point", inst]) == 3
+        assert "F and G must not be proportional" in capsys.readouterr().err
+
+    def test_large_plane_conic_is_solved(self, tmp_path):
+        # the plane conic p x^2 + q y^2 - r z^2 with primes near 10^6 is
+        # solvable; a search over its Holzer box would walk ~10^12 cells
+        p, q, r = 1000003, 1000037, 1000081
+        F = QuadraticForm.diagonal([p, q, -r, 1, 1])
+        G = QuadraticForm.diagonal([0, 0, 0, 1, -1])
+        plane = LinearSubspace.standard(5, (0, 1, 2))
+        inst = write_instance(tmp_path, F, G, plane)
+        rep = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadpencil.cli", "find-point", inst,
+             "--out", str(rep)],
+            capture_output=True, text=True, env=_src_env(), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(rep.read_text())
+        assert report["trace"]["method"] == "conic"
+        trace = {**report["trace"],
+                 "point": [rat_from_json(x) for x in report["point"]]}
+        assert descent.replay_trace(F, G, plane, trace)
+
     def test_invalid_input_exits_three(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -245,17 +277,43 @@ print(sys.flags.optimize, code, outcome)
 """
 
 
+# Run under python -O: a local report that calls every conic solvable.
+_LYING_REPORT = """
+import dataclasses
+import sys
+
+import quadpencil.descent as descent
+import quadpencil.localsolve as localsolve
+from quadpencil.cli import main
+
+honest = localsolve.conic_local_report
+
+
+def lying(t):
+    return dataclasses.replace(honest(t), globally_solvable=True)
+
+
+localsolve.conic_local_report = descent.conic_local_report = lying
+print(sys.flags.optimize, main(["find-point", sys.argv[1]]))
+"""
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(quadpencil.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 class TestInternalErrors:
     def test_failed_certificate_exits_four(self, tmp_path):
         inst = str(tmp_path / "p5.json")
         assert main(["gen", "--n", "5", "--seed", "9", "--out", inst]) == 0
-        src = os.path.dirname(os.path.dirname(quadpencil.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-O", "-c", _BROKEN_COFACTORS, inst],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, env=_src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr
         # analyze exits 4 with a one-line message; the generator raises
         # InternalError at once instead of retrying past it
@@ -281,7 +339,7 @@ class TestInternalErrors:
     def test_holzer_exhaustion_exits_four(self, tmp_path, monkeypatch,
                                           capsys):
         # a local report that wrongly calls x^2 + y^2 - 3 z^2 solvable
-        # sends the Holzer search after a point that does not exist
+        # sends the Lagrange descent after a point that does not exist
         inst = str(tmp_path / "p5.json")
         assert main(["gen", "--n", "5", "--seed", "9", "--out", inst]) == 0
         honest = localsolve.conic_local_report
@@ -292,5 +350,17 @@ class TestInternalErrors:
         monkeypatch.setattr(localsolve, "conic_local_report", lying)
         monkeypatch.setattr(descent, "conic_local_report", lying)
         assert main(["find-point", inst]) == 4
-        assert "internal error: no point within Holzer bounds" in \
+        assert "internal error: Lagrange descent failed" in \
             capsys.readouterr().err
+
+    def test_lying_report_exits_four_under_optimize(self, tmp_path):
+        # sympy's descent and holzer check with assert statements, which
+        # python -O strips: the lying report must still end in exit 4
+        inst = str(tmp_path / "p5.json")
+        assert main(["gen", "--n", "5", "--seed", "9", "--out", inst]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _LYING_REPORT, inst],
+            capture_output=True, text=True, env=_src_env(), timeout=300)
+        assert proc.stdout.split() == ["1", "4"], proc.stderr
+        assert "internal error: " in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -97,11 +97,11 @@ class TestEnumeration:
             H.linear_form(7)
 
 
-def _planted(n, seed, **kw):
+def _planted(n, seed, coord=3, **kw):
     dim = n + 1
     rng = random.Random(seed)
     while True:
-        pt = [rng.randint(-3, 3) for _ in range(dim)]
+        pt = [rng.randint(-coord, coord) for _ in range(dim)]
         if any(pt[3:]):
             break
     return generate_planted_instance(n, CONIC, pt, seed=seed, **kw), pt
@@ -475,6 +475,23 @@ class TestP4Fibers:
         assert out.status == "point"
         assert out.trace["method"] == "fiber"
         assert replay_trace(F0, G0, plane, out.trace)
+
+    def test_exhaustion_names_its_budget(self):
+        # planted-n4-h20-s921297046 of the fibers benchmark workload: every
+        # fiber up to fibers_max is locally insolvable
+        (F0, G0, plane), _ = _planted(4, 921297046, coord=15,
+                                      coefficient_height=20)
+        out = find_rational_point(F0, G0, plane)
+        assert out.status == "exhausted"
+        assert out.notes == ("fiber search exhausted: fibers_max=96 reached, "
+                             "96 fibers locally insolvable",)
+        tried = [e for e in out.trace["fibers"] if "skip" not in e]
+        assert len(tried) == 96 and not any(e["solvable"] for e in tried)
+        out = find_rational_point(F0, G0, plane,
+                                  descent.SearchConfig(height_bound=1))
+        assert out.notes == ("fiber search exhausted: height_bound=1 "
+                             f"reached, {len(out.trace['fibers'])} fibers "
+                             "locally insolvable",)
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from quadpencil.forms import QuadraticForm
 from quadpencil.localsolve import (
     NotLocallySolvable,
     Place,
-    SearchVolumeExceeded,
     conic_bad_places,
     conic_local_report,
     conic_rational_point,
@@ -189,13 +189,48 @@ class TestConicVerdicts:
         else:
             assert found is None
 
-    def test_volume_cap(self):
-        # x^2 - y^2 + p z^2 is solvable everywhere ((1,1,0) is a point) but
-        # the Holzer box is ~sqrt(p) wide
+    def test_large_box_conic_solved(self):
+        # x^2 - y^2 + p z^2 is solvable everywhere ((1,1,0) is a point);
+        # its Holzer box is ~sqrt(p) wide, and descent needs no box
         t = reduce_ternary(QuadraticForm.diagonal([1, -1, 999983]))
         assert conic_local_report(t).globally_solvable
-        with pytest.raises(SearchVolumeExceeded):
-            conic_rational_point(t, volume_cap=10)
+        pt, sol = conic_rational_point(t)
+        assert t.a * sol[0] ** 2 + t.b * sol[1] ** 2 + t.c * sol[2] ** 2 == 0
+        assert t.original.evaluate(pt.coords) == 0
+
+
+# (signs of a, b, c): each pair of equal signs is one case of holzer
+SIGN_PATTERNS = [(1, 1, -1), (1, -1, 1), (-1, 1, 1)]
+
+
+def _solvable_conic(rng, height, signs, c_unit):
+    """First seeded a x^2 + b y^2 + c z^2 with |a|, |b| primes near height
+    and |c| a prime near height (or 1 when c_unit) that is solvable."""
+    while True:
+        mags = [sympy.nextprime(rng.randint(height // 2, height))
+                for _ in range(3)]
+        if c_unit:
+            mags[2] = 1
+        if len(set(mags)) < 3:
+            continue
+        coeffs = [s * m for s, m in zip(signs, mags)]
+        t = reduce_ternary(QuadraticForm.diagonal(coeffs))
+        if (t.a, t.b, t.c) == tuple(coeffs) and \
+                conic_local_report(t).globally_solvable:
+            return t
+
+
+class TestLegendreDescent:
+    @pytest.mark.parametrize("height", [10**3, 10**6, 10**12])
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    @pytest.mark.parametrize("c_unit", [False, True])
+    def test_seeded_conics(self, height, signs, c_unit):
+        rng = random.Random(f"{height} {signs} {c_unit}")
+        t = _solvable_conic(rng, height, signs, c_unit)
+        pt, sol = conic_rational_point(t)
+        assert any(sol) and math.gcd(*sol) == 1
+        assert t.a * sol[0] ** 2 + t.b * sol[1] ** 2 + t.c * sol[2] ** 2 == 0
+        assert t.original.evaluate(pt.coords) == 0
 
 
 class TestQuadricIsotropy:
