@@ -376,7 +376,6 @@ def build_parser():
         if instance:
             p.add_argument("instance", help="instance JSON file")
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--prime-budget", type=int, default=200_000)
 
     p = sub.add_parser("analyze", help="discriminant, ranks, smoothness")
     common(p)
@@ -388,10 +387,14 @@ def build_parser():
 
     p = sub.add_parser("local-check", help="conic and small-prime reports")
     common(p)
+    p.add_argument("--prime-budget", type=int,
+                   default=SearchConfig.prime_budget)
     p.set_defaults(func=cmd_local_check)
 
     p = sub.add_parser("find-point", help="full descent point search")
     common(p)
+    p.add_argument("--prime-budget", type=int,
+                   default=SearchConfig.prime_budget)
     p.add_argument("--height-bound", type=int, default=50)
     p.set_defaults(func=cmd_find_point)
 

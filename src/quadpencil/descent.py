@@ -40,7 +40,6 @@ from .forms import (
     QuadraticForm,
     form_rank,
     integer_rep_value,
-    radical_subspace,
     restrict_form,
     signature,
 )
@@ -58,6 +57,7 @@ from .normalize import (
     NormalizedSystem,
     hypothesis_report,
     normalize_pencil,
+    singular_line,
     verify_conic_plane,
 )
 from .pencil import DiscriminantData, Pencil, member_matrix, smoothness_test
@@ -243,16 +243,11 @@ def restricted_discriminant(child: NormalizedSystem):
     report = hypothesis_report(child)
     irreducible_quintic = None
     if child.n == 4:
-        d = report.disc
-        fac = d.factorization
-        irreducible_quintic = (d.P.degree == 5 and len(fac.factors) == 1
-                               and fac.factors[0][1] == 1)
         # with G' vanishing on the plane, rank(G') <= 4 forces deg P' <= 4,
         # so the literal condition is unattainable for conic instances; the
         # achievable analogue is an irreducible quartic lambda-part
-        if not irreducible_quintic:
-            irreducible_quintic = (d.P.degree == 4 and len(fac.factors) == 1
-                                   and fac.factors[0][1] == 1)
+        irreducible_quintic = (report.disc.irreducible_of_degree(5)
+                               or report.disc.irreducible_of_degree(4))
     return report, irreducible_quintic
 
 
@@ -700,7 +695,7 @@ def find_rational_point(F0: QuadraticForm, G0: QuadraticForm,
     trace["conic_local"] = {"verdicts": list(conic_report.verdicts),
                             "solvable": conic_report.globally_solvable}
     if conic_report.globally_solvable:
-        pt3, _ = conic_rational_point(conic)
+        pt3, _ = conic_rational_point(conic, conic_report)
         local = list(pt3.coords) + [0] * (sys.dim - 3)
         return _finish(F0, G0, embed, local, trace, report.route, report,
                        method="conic")
@@ -756,7 +751,7 @@ def _solve_normalized(F0, G0, sys, embed, report, trace, config):
             (route == "s2-conjugate-weil" and n == 7):
         return _descend(F0, G0, sys, embed, report, trace, config)
     if route == "rank4-G-singular-line":
-        local = _singular_line_point(sys)
+        _, local = singular_line(sys.F, report.disc.mu_record().radical)
         if local is not None:
             trace["levels"].append({"n": n, "method": "singular-line"})
             return _finish(F0, G0, embed, local, trace, route, report,
@@ -769,26 +764,6 @@ def _solve_normalized(F0, G0, sys, embed, report, trace, config):
                        method="direct")
     return SearchOutcome(status="exhausted", trace=trace, route=route,
                          report=report, notes=("direct search exhausted",))
-
-
-def _singular_line_point(sys: NormalizedSystem):
-    """Rational point of {F = 0} on the singular line of a rank-4 G, when
-    the restricted binary quadratic has a rational root."""
-    rad = radical_subspace(sys.G)
-    if rad.dim != 2:
-        return None
-    r = restrict_form(sys.F, rad)
-    a, b, c = r.gram[0][0], r.gram[0][1], r.gram[1][1]
-    v0, v1 = rad.basis
-    if a == 0 and b == 0 and c == 0:
-        return list(v0)
-    if a == 0:
-        return list(v0)  # root (s, t) = (1, 0)
-    root = rational_sqrt(b * b - a * c)
-    if root is None:
-        return None
-    s = (-b + root) / a
-    return [s * x + y for x, y in zip(v0, v1)]
 
 
 def _descend(F0, G0, sys, embed, report, trace, config):
@@ -828,10 +803,9 @@ def _solve_p4(F0, G0, sys, embed, report, trace, config):
             fiber_log.append({"t": list(t), "skip": "degenerate"})
             continue
         fibers_tried += 1
-        rank = form_rank(fiber.residual_form)
+        rank, rad = rank_and_kernel(fiber.residual_form.gram)
         if rank < 3:
-            rad = radical_subspace(fiber.residual_form)
-            y = list(rad.basis[0])
+            y = rad[0]
             local = [sum(fiber.embedding.matrix()[i][j] * y[j]
                          for j in range(3)) for i in range(5)]
             trace["levels"].append({"n": 4, "fiber_t": list(t),
@@ -848,7 +822,7 @@ def _solve_p4(F0, G0, sys, embed, report, trace, config):
         fiber_log.append(entry)
         if not lrep.globally_solvable:
             continue
-        pt3, diag_sol = conic_rational_point(ternary)
+        pt3, diag_sol = conic_rational_point(ternary, lrep)
         y = list(pt3.coords)
         local = [sum(fiber.embedding.matrix()[i][j] * y[j] for j in range(3))
                  for i in range(5)]

@@ -108,16 +108,20 @@ class QuadraticForm:
                 for row in self.gram]
 
     def integer_rep(self):
-        """Return (scale, diag, cross) with scale * F = sum diag[i] x_i^2 +
-        sum_{i<j} cross[(i,j)] x_i x_j, all coefficients integer."""
+        """Return the primitive integer model (scale, diag, cross): scale is
+        a positive Fraction with scale * F = sum diag[i] x_i^2 +
+        sum_{i<j} cross[(i,j)] x_i x_j, and the integer coefficients have
+        gcd 1."""
         dens = [self.gram[i][i].denominator for i in range(self.dim)]
         dens += [(2 * self.gram[i][j]).denominator
                  for i in range(self.dim) for j in range(i + 1, self.dim)]
-        scale = math.lcm(*dens) if dens else 1
-        diag = [int(self.gram[i][i] * scale) for i in range(self.dim)]
-        cross = {(i, j): int(2 * self.gram[i][j] * scale)
+        den = math.lcm(*dens)
+        diag = [int(self.gram[i][i] * den) for i in range(self.dim)]
+        cross = {(i, j): int(2 * self.gram[i][j] * den)
                  for i in range(self.dim) for j in range(i + 1, self.dim)}
-        return scale, diag, cross
+        g = math.gcd(*diag, *cross.values()) or 1
+        return (Fraction(den, g), [d // g for d in diag],
+                {k: c // g for k, c in cross.items()})
 
 
 def integer_rep_value(diag, cross, x) -> int:
@@ -131,6 +135,15 @@ def integer_rep_value(diag, cross, x) -> int:
         if c and x[i] and x[j]:
             acc += c * x[i] * x[j]
     return acc
+
+
+def integer_rep_gradient(diag, cross, x):
+    """Gradient at the integer vector x of the model (diag, cross)."""
+    g = [2 * d * v for d, v in zip(diag, x)]
+    for (i, j), c in cross.items():
+        g[i] += c * x[j]
+        g[j] += c * x[i]
+    return g
 
 
 @dataclass(frozen=True)

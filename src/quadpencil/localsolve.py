@@ -1,9 +1,9 @@
 """Exact local solvability machinery.
 
 Hilbert symbols at all places of Q, conic local-global verdicts, rational
-points on conics by Lagrange descent with Gaussian lattice reduction and
-Holzer-Mordell reduction (Cremona-Rusin, Math. Comp. 72, 2003), isotropy of
-diagonalized quadratic forms over completions, and mod-p point counting.
+points on conics by Lagrange descent with Gaussian lattice reduction
+(Cremona-Rusin, Math. Comp. 72, 2003), isotropy of diagonalized quadratic
+forms over completions, mod-p point counting and p-adic lifting.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
-from sympy.solvers.diophantine.diophantine import descent, holzer
+from sympy.solvers.diophantine.diophantine import descent
 
 from .exact import InternalError, _frac, squarefree_part
 from .forms import (
     ProjectivePoint,
     QuadraticForm,
     diagonalize,
+    integer_rep_gradient,
     integer_rep_value,
 )
 
@@ -227,54 +228,34 @@ def conic_local_report(t: TernaryForm) -> LocalReport:
                        globally_solvable=all(ok for _, ok in verdicts))
 
 
-def _legendre_solution(a: int, b: int, c: int):
-    """Nonzero integer (x, y, z) with a x^2 + b y^2 + c z^2 = 0, for a, b, c
-    squarefree, pairwise coprime and locally solvable everywhere.
+def conic_rational_point(t: TernaryForm, report: LocalReport):
+    """Primitive point on a x^2 + b y^2 + c z^2 = 0, pulled back to the
+    original coordinates; report is conic_local_report(t).
 
     Lagrange descent with Gaussian lattice reduction solves
-    z^2 = -ac x^2 - bc y^2; c divides that z because c is squarefree.
-    Holzer-Mordell reduction then shrinks the solution (J. E. Cremona and
-    D. Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005).  Both
-    run in time polynomial in the bit size of a, b, c, apart from the
-    factoring that square roots modulo bc need.
-    """
-    z, x, y = descent(-a * c, -b * c)
-    z //= c
-    g = math.gcd(x, y, z)
-    x, y, z = x // g, y // g, z // g
-    # holzer wants A X^2 + B Y^2 = C Z^2 with A, B, C > 0
-    if (a > 0) == (b > 0):
-        x, y, z = holzer(x, y, z, abs(a), abs(b), abs(c))
-    elif (a > 0) == (c > 0):
-        x, z, y = holzer(x, z, y, abs(a), abs(c), abs(b))
-    else:
-        y, z, x = holzer(y, z, x, abs(b), abs(c), abs(a))
-    return x, y, z
-
-
-def conic_rational_point(t: TernaryForm):
-    """Primitive point on a x^2 + b y^2 + c z^2 = 0 by Lagrange descent
-    (Cremona-Rusin), pulled back to the original coordinates.
+    z^2 = -ac x^2 - bc y^2; c divides that z because c is squarefree
+    (J. E. Cremona and D. Rusin, Math. Comp. 72, 2003).  It runs in time
+    polynomial in the bit size of a, b, c, apart from the factoring that
+    square roots modulo bc need.
 
     Returns (point_in_original_coords, diagonal_solution).  Raises
     NotLocallySolvable when some place obstructs, and InternalError when
     the descent fails on a conic the local report calls solvable: by
     Legendre's theorem a point exists, so that is a bug.
     """
-    report = conic_local_report(t)
     if not report.globally_solvable:
         raise NotLocallySolvable(report.failing_places())
     a, b, c = t.a, t.b, t.c
     try:
-        sol = _legendre_solution(a, b, c)
+        z, x, y = map(int, descent(-a * c, -b * c))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         # sympy signals a missing square root mod |B| by a TypeError
         raise InternalError(
             f"Lagrange descent failed despite local solvability: {exc!r}")
+    sol = (x, y, z // c)
     g = math.gcd(*sol) or 1
     sol = tuple(abs(v) // g for v in sol)
-    # real checks: sympy's holzer and gaussian_reduce assert, and python -O
-    # strips those
+    # real checks: sympy's gaussian_reduce asserts, and python -O strips that
     if not any(sol) or a * sol[0] ** 2 + b * sol[1] ** 2 + c * sol[2] ** 2:
         raise InternalError(
             f"Lagrange descent returned {sol}, not a point of the conic")
@@ -314,18 +295,9 @@ def quadric_isotropy(F: QuadraticForm, v: Place) -> bool:
 
 def _modp_setup(F: QuadraticForm, p: int):
     scale, diag, cross = F.integer_rep()
-    if scale % p == 0:
+    if scale.numerator % p == 0:
         raise ValueError(f"form does not reduce mod {p} (denominator)")
     return diag, cross
-
-
-def _grad_modp(diag, cross, x, p):
-    n = len(diag)
-    g = [2 * diag[i] * x[i] for i in range(n)]
-    for (i, j), c in cross.items():
-        g[i] += c * x[j]
-        g[j] += c * x[i]
-    return [v % p for v in g]
 
 
 def _projective_points(dim, p):
@@ -359,8 +331,8 @@ def modp_counts(F: QuadraticForm, G: QuadraticForm, p: int,
                 or integer_rep_value(dG, cG, x) % p):
             continue
         total += 1
-        gf = _grad_modp(dF, cF, x, p)
-        gg = _grad_modp(dG, cG, x, p)
+        gf = integer_rep_gradient(dF, cF, x)
+        gg = integer_rep_gradient(dG, cG, x)
         rank2 = any((gf[i] * gg[j] - gf[j] * gg[i]) % p
                     for i in range(dim) for j in range(i + 1, dim))
         if rank2:
@@ -368,21 +340,6 @@ def modp_counts(F: QuadraticForm, G: QuadraticForm, p: int,
             if sample is None:
                 sample = x
     return total, smooth, sample
-
-
-def _primitive_form_ints(F: QuadraticForm):
-    """Integer Gram model of a nonzero rational multiple of F (scaling does
-    not change the zero set)."""
-    scale, diag, cross = F.integer_rep()
-    entries = [2 * d for d in diag] + list(cross.values())
-    g = math.gcd(*[abs(x) for x in entries]) or 1
-    n = F.dim
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = 2 * diag[i] // g
-    for (i, j), c in cross.items():
-        gram[i][j] = gram[j][i] = c // g
-    return gram  # x^T gram x = (2*scale/g) * F(x)
 
 
 def _canonical_rep(x, p, pk):
@@ -397,30 +354,18 @@ def padic_lift_obstruction(F: QuadraticForm, G: QuadraticForm, p: int,
                            max_depth: int = 6, class_budget: int = 20000):
     """Sound p-adic emptiness certificate via Hensel-style lifting.
 
-    Returns the smallest k <= max_depth such that F = G = 0 has no
-    primitive solution mod p^k (then X has no Q_p point), or None if
+    Returns the smallest k <= max_depth such that the primitive integer
+    models of F and G (QuadraticForm.integer_rep) have no common primitive
+    zero mod p^k (then X has no Q_p point), or None if
     solution classes survive to max_depth or the class budget is hit
     (inconclusive -- no obstruction may be claimed).
     """
     dim = F.dim
-    A = _primitive_form_ints(F)
-    B = _primitive_form_ints(G)
-
-    def ev(M, x, mod):
-        acc = 0
-        for i in range(dim):
-            if x[i]:
-                acc += x[i] * sum(M[i][j] * x[j] for j in range(dim))
-        return acc % mod
-
-    def grad(M, x, mod):
-        return [2 * sum(M[i][j] * x[j] for j in range(dim)) % mod
-                for i in range(dim)]
-
-    survivors = set()
-    for x in _projective_points(dim, p):
-        if ev(A, x, p) == 0 and ev(B, x, p) == 0:
-            survivors.add(_canonical_rep(x, p, p))
+    _, dA, cA = F.integer_rep()
+    _, dB, cB = G.integer_rep()
+    survivors = {_canonical_rep(x, p, p) for x in _projective_points(dim, p)
+                 if integer_rep_value(dA, cA, x) % p == 0
+                 and integer_rep_value(dB, cB, x) % p == 0}
     if not survivors:
         return 1
     pk = p
@@ -428,10 +373,10 @@ def padic_lift_obstruction(F: QuadraticForm, G: QuadraticForm, p: int,
         nxt = set()
         for x in survivors:
             # x + p^k y solves mod p^{k+1} iff two linear conditions on y
-            ca = (ev(A, x, pk * p) // pk) % p
-            cb = (ev(B, x, pk * p) // pk) % p
-            ga = grad(A, x, p)
-            gb = grad(B, x, p)
+            ca = integer_rep_value(dA, cA, x) // pk
+            cb = integer_rep_value(dB, cB, x) // pk
+            ga = integer_rep_gradient(dA, cA, x)
+            gb = integer_rep_gradient(dB, cB, x)
             for y in _solve_two_linear_modp(ga, ca, gb, cb, p, dim):
                 lifted = tuple((x[i] + pk * y[i]) % (pk * p)
                                for i in range(dim))

@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import InternalError, matrix_rank, rational_sqrt
+from .exact import InternalError, rational_sqrt
 from .forms import (
     LinearSubspace,
     QuadraticForm,
     change_coordinates,
     extend_to_basis,
     form_rank,
-    radical_subspace,
     restrict_form,
 )
 from .pencil import (
@@ -45,10 +44,6 @@ class NotAConic(ValueError):
 
 class DiscriminantZero(ArithmeticError):
     """P = 0 in every pencil basis; routed to direct search."""
-
-
-class Conical(ValueError):
-    """F and G share a kernel vector, so X is a cone."""
 
 
 @dataclass(frozen=True)
@@ -192,23 +187,23 @@ ROUTES = (
     "rank4-G-singular-line",
     "s2-rational",
     "s2-conjugate-weil",
-    "singular-k-point",
     "discriminant-zero",
 )
 
 
 def hypothesis_report(sys: NormalizedSystem) -> HypothesisReport:
+    """Classify sys into its route.  Every rank comes from the discriminant:
+    F is the member at lambda = 0, so it has full rank unless 0 is a root.
+    The pencil is non-conical, because a kernel vector shared by F and G
+    would make P vanish identically and discriminant raise."""
     n = sys.n
     dim = sys.dim
-    stacked = [list(r) for r in sys.F.gram] + [list(r) for r in sys.G.gram]
-    non_conical = matrix_rank(stacked) == dim
-    if not non_conical:
-        raise Conical("F and G have a common kernel vector: X is a cone")
     d = discriminant(sys.pencil())
-    rank_f = form_rank(sys.F)
-    rank_g = form_rank(sys.G)
+    rank_f = dim if d.P[0] != 0 else next(
+        r.rank for r in d.records if r.rational_lambda() == 0)
+    rank_g = d.mu_record().rank
     min_rank = min([r.rank for r in d.records if r.kind == "factor"]
-                   + ([d.mu_record().rank] if d.mu_multiplicity >= 1 else [])
+                   + ([rank_g] if d.mu_multiplicity >= 1 else [])
                    + [rank_f])
     census = low_rank_census(d, n)
     failures = []
@@ -219,17 +214,15 @@ def hypothesis_report(sys: NormalizedSystem) -> HypothesisReport:
             failures.append("rank(F) != 5")
         if rank_g < 3:
             failures.append("rank(G) < 3")
-        fac = d.factorization
-        irreducible_quintic = (d.P.degree == 5 and len(fac.factors) == 1
-                               and fac.factors[0][1] == 1)
-        if not irreducible_quintic:
+        if not d.irreducible_of_degree(5):
             failures.append("discriminant quintic not irreducible")
     elif n == 5:
         if rank_g <= 3:
             route = "low-rank-G-elementary"
         elif rank_g == 4:
             route = "rank4-G-singular-line"
-            notes.append(f"singular-line-subcase: {singular_line_subcase(sys)}")
+            subcase, _ = singular_line(sys.F, d.mu_record().radical)
+            notes.append(f"singular-line-subcase: {subcase}")
         else:
             route = "P5-Theorem-2.1"
             if rank_f != 6:
@@ -257,22 +250,26 @@ def hypothesis_report(sys: NormalizedSystem) -> HypothesisReport:
             route = "s2-rational"
             failures.append("unexpected higher-degree low-rank member")
     return HypothesisReport(
-        n=n, non_conical=non_conical, rank_f=rank_f, rank_g=rank_g,
+        n=n, non_conical=True, rank_f=rank_f, rank_g=rank_g,
         min_member_rank=min_rank, route=route,
         hypothesis_failures=tuple(failures), census=census, disc=d,
         notes=tuple(notes))
 
 
-def singular_line_subcase(sys: NormalizedSystem) -> str:
-    """When rank(G) = 4 in 6 variables, its radical is a line l; classify
-    {F = 0} cap l by factoring the restricted binary quadratic."""
-    rad = radical_subspace(sys.G)
-    if rad.dim != 2:
-        return "radical-not-a-line"
-    r = restrict_form(sys.F, rad)
-    a, b, c = r.gram[0][0], r.gram[0][1], r.gram[1][1]
+def singular_line(F: QuadraticForm, line):
+    """(subcase, point) for the radical line of a rank-4 G in 6 variables,
+    spanned by the two vectors in line: {F = 0} cap line from the roots of
+    the restricted binary quadratic.  point is a rational point of it, or
+    None for the subcase "conjugate-pair"."""
+    v0, v1 = line
+    a, c = F.evaluate(v0), F.evaluate(v1)
+    b = (F.evaluate([x + y for x, y in zip(v0, v1)]) - a - c) / 2
     if a == 0 and b == 0 and c == 0:
-        return "line-on-X"
-    if rational_sqrt(b * b - a * c) is not None:
-        return "k-point"
-    return "conjugate-pair"
+        return "line-on-X", list(v0)
+    if a == 0:
+        return "k-point", list(v0)  # root (s, t) = (1, 0)
+    root = rational_sqrt(b * b - a * c)
+    if root is None:
+        return "conjugate-pair", None
+    s = (-b + root) / a
+    return "k-point", [s * x + y for x, y in zip(v0, v1)]

@@ -28,7 +28,7 @@ from .exact import (
     integer_interpolation,
     rank_and_kernel,
 )
-from .forms import QuadraticForm, form_rank, radical_subspace
+from .forms import QuadraticForm
 
 
 class IdenticallyZeroDiscriminant(ArithmeticError):
@@ -146,6 +146,11 @@ class DiscriminantData:
     def mu_record(self) -> RankRecord:
         return self.records[-1]
 
+    def irreducible_of_degree(self, k: int) -> bool:
+        """P is irreducible over Q and of degree k."""
+        fac = self.factorization.factors
+        return self.P.degree == k and len(fac) == 1 and fac[0][1] == 1
+
     @property
     def smooth(self) -> bool:
         """X = {F = G = 0} is smooth: D(mu, lambda) is squarefree of degree
@@ -222,27 +227,23 @@ def discriminant(p: Pencil) -> DiscriminantData:
     records = []
     for m, mult in fac.factors:
         if m.degree == 1:
-            lam = -m[0] / m[1]
-            member = p.member(lam)
-            rad = radical_subspace(member)
-            records.append(RankRecord(
-                kind="factor", factor=m, multiplicity=mult,
-                rank=form_rank(member), radical=tuple(rad.basis), fld=None))
-            continue
-        fld = QuotientField(m.monic(), check_irreducible=False)
-        if mult == 1:
-            rank = dim - 1
-            rad = [_adjugate_kernel(A, B, dets, fld, columns)]
+            fld = None
+            rank, rad = rank_and_kernel(p.member(-m[0] / m[1]).gram)
         else:
-            rank, rad = rank_and_kernel(member_matrix(F, G, fld), fld)
+            fld = QuotientField(m.monic(), check_irreducible=False)
+            if mult == 1:
+                rank = dim - 1
+                rad = [_adjugate_kernel(A, B, dets, fld, columns)]
+            else:
+                rank, rad = rank_and_kernel(member_matrix(F, G, fld), fld)
         records.append(RankRecord(
             kind="factor", factor=m, multiplicity=mult,
             rank=rank, radical=tuple(tuple(v) for v in rad), fld=fld))
     mu_mult = dim - P.degree
-    rad_g = radical_subspace(G)
+    rank_g, rad_g = rank_and_kernel(G.gram)
     records.append(RankRecord(
         kind="mu", factor=None, multiplicity=mu_mult,
-        rank=form_rank(G), radical=tuple(rad_g.basis), fld=None))
+        rank=rank_g, radical=tuple(tuple(v) for v in rad_g), fld=None))
     return DiscriminantData(P=P, factorization=fac, mu_multiplicity=mu_mult,
                             records=tuple(records), dim=dim)
 

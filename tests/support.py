@@ -4,6 +4,7 @@ Oracles here are deliberately written from scratch (brute-force or
 first-principles) so they do not share code paths with the library.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -192,6 +193,44 @@ def hilbert_oracle(a, b, p, depth=6):
 
 def hilbert_oracle_real(a, b):
     return not (a < 0 and b < 0)
+
+
+def _content_free(coeffs):
+    """Integer coefficients {(i, j): c} divided by their gcd."""
+    g = math.gcd(*coeffs.values()) or 1
+    return {k: c // g for k, c in coeffs.items()}
+
+
+def _coeff_value(coeffs, x):
+    return sum(c * x[i] * x[j] for (i, j), c in coeffs.items())
+
+
+def first_empty_level(f_coeffs, g_coeffs, dim, p, max_k):
+    """Least k <= max_k such that the forms with integer coefficients
+    {(i, j): c} (c of x_i x_j, i <= j) have no common primitive zero mod
+    p^k, or None.  Scaling a form does not change its zeros over Q_p, so
+    each is first divided by its content.  Every vector mod p is tried,
+    then every lift x + p^k y of each zero mod p^k, checked by direct
+    evaluation."""
+    f, g = _content_free(f_coeffs), _content_free(g_coeffs)
+    zeros = [x for x in itertools.product(range(p), repeat=dim)
+             if any(x) and _coeff_value(f, x) % p == 0
+             and _coeff_value(g, x) % p == 0]
+    pk = p
+    for k in range(1, max_k + 1):
+        if not zeros:
+            return k
+        if k == max_k:
+            return None
+        lifts = []
+        for x in zeros:
+            for y in itertools.product(range(p), repeat=dim):
+                z = [a + pk * b for a, b in zip(x, y)]
+                if (_coeff_value(f, z) % (pk * p) == 0
+                        and _coeff_value(g, z) % (pk * p) == 0):
+                    lifts.append(z)
+        zeros = lifts
+        pk *= p
 
 
 # ---------------------------------------------------------------------------

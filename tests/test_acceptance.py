@@ -148,7 +148,7 @@ def test_04_ternary_oracle(capsys):
         if rep.globally_solvable:
             assert found is not None, \
                 f"verdict solvable but no point: {diag} -> {(t.a, t.b, t.c)}"
-            pt, _ = conic_rational_point(t)
+            pt, _ = conic_rational_point(t, rep)
             assert t.original.evaluate(pt.coords) == 0
         else:
             assert found is None, \

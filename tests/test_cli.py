@@ -190,6 +190,17 @@ class TestCliExitCodes:
         assert main(["find-point", str(bad), "--bogus-flag"]) == 3
         assert main(["analyze", "/does/not/exist.json"]) == 3
 
+    def test_prime_budget_only_where_used(self, tmp_path):
+        # only local-check and find-point count points mod p
+        inst = modp_obstruction_instance(tmp_path)
+        for command in ("analyze", "classify"):
+            assert main([command, inst, "--prime-budget", "5"]) == 3
+        assert main(["gen", "--n", "5", "--prime-budget", "5"]) == 3
+        out = str(tmp_path / "r.json")
+        assert main(["local-check", inst, "--prime-budget", "5",
+                     "--out", out]) == 0
+        assert json.load(open(out))["mod_p"]["3"] == "skipped (budget)"
+
     def test_gen_deterministic(self, tmp_path):
         a = str(tmp_path / "a.json")
         b = str(tmp_path / "b.json")
@@ -331,7 +342,7 @@ class TestInternalErrors:
             LinearSubspace.standard(5, (0, 1, 2)))
         monkeypatch.setattr(
             descent, "conic_rational_point",
-            lambda t, **kw: (ProjectivePoint((1, 1, 1)), (1, 1, 1)))
+            lambda *a: (ProjectivePoint((1, 1, 1)), (1, 1, 1)))
         assert main(["find-point", inst]) == 4
         err = capsys.readouterr().err
         assert "internal error: candidate point fails" in err
@@ -354,7 +365,7 @@ class TestInternalErrors:
             capsys.readouterr().err
 
     def test_lying_report_exits_four_under_optimize(self, tmp_path):
-        # sympy's descent and holzer check with assert statements, which
+        # sympy's descent checks with assert statements, which
         # python -O strips: the lying report must still end in exit 4
         inst = str(tmp_path / "p5.json")
         assert main(["gen", "--n", "5", "--seed", "9", "--out", inst]) == 0

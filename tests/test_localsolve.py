@@ -24,6 +24,7 @@ from quadpencil.localsolve import (
 
 from .support import (
     brute_conic_search,
+    first_empty_level,
     hilbert_oracle,
     hilbert_oracle_real,
     random_symmetric,
@@ -159,7 +160,7 @@ class TestConicVerdicts:
         assert not rep.globally_solvable
         assert rep.failing_places() == ("2", "3")
         with pytest.raises(NotLocallySolvable):
-            conic_rational_point(t)
+            conic_rational_point(t, rep)
 
     def test_bad_places_include_two_and_divisors(self):
         t = reduce_ternary(QuadraticForm.diagonal([1, 5, -21]))
@@ -184,7 +185,7 @@ class TestConicVerdicts:
             # Legendre: locally solvable everywhere => a point within the
             # Holzer bounds exists
             assert found is not None
-            pt, sol = conic_rational_point(t)
+            pt, sol = conic_rational_point(t, rep)
             assert t.original.evaluate(pt.coords) == 0
         else:
             assert found is None
@@ -193,13 +194,14 @@ class TestConicVerdicts:
         # x^2 - y^2 + p z^2 is solvable everywhere ((1,1,0) is a point);
         # its Holzer box is ~sqrt(p) wide, and descent needs no box
         t = reduce_ternary(QuadraticForm.diagonal([1, -1, 999983]))
-        assert conic_local_report(t).globally_solvable
-        pt, sol = conic_rational_point(t)
+        rep = conic_local_report(t)
+        assert rep.globally_solvable
+        pt, sol = conic_rational_point(t, rep)
         assert t.a * sol[0] ** 2 + t.b * sol[1] ** 2 + t.c * sol[2] ** 2 == 0
         assert t.original.evaluate(pt.coords) == 0
 
 
-# (signs of a, b, c): each pair of equal signs is one case of holzer
+# (signs of a, b, c), up to an overall sign: the three ways to split them
 SIGN_PATTERNS = [(1, 1, -1), (1, -1, 1), (-1, 1, 1)]
 
 
@@ -227,7 +229,7 @@ class TestLegendreDescent:
     def test_seeded_conics(self, height, signs, c_unit):
         rng = random.Random(f"{height} {signs} {c_unit}")
         t = _solvable_conic(rng, height, signs, c_unit)
-        pt, sol = conic_rational_point(t)
+        pt, sol = conic_rational_point(t, conic_local_report(t))
         assert any(sol) and math.gcd(*sol) == 1
         assert t.a * sol[0] ** 2 + t.b * sol[1] ** 2 + t.c * sol[2] ** 2 == 0
         assert t.original.evaluate(pt.coords) == 0
@@ -284,6 +286,60 @@ class TestModpCounts:
         total, smooth, _ = modp_counts(F, G, 3)
         assert smooth == 0
         assert total > 0  # singular points exist but none are smooth
+
+
+def _odd_cross_coeffs(rng, dim):
+    """Integer coefficients {(i, j): c}: diagonal in [-3, 3], every cross
+    coefficient odd."""
+    return {(i, j): rng.randint(-3, 3) if i == j
+            else rng.choice((-3, -1, 1, 3))
+            for i in range(dim) for j in range(i, dim)}
+
+
+class TestIntegerModel:
+    """modp_counts and padic_lift_obstruction read one primitive integer
+    model, so the content of a form changes nothing."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_modp_counts_ignore_content(self, seed):
+        rng = random.Random(seed)
+        F = QuadraticForm.from_coeffs(5, _odd_cross_coeffs(rng, 5))
+        G = QuadraticForm.from_coeffs(5, _odd_cross_coeffs(rng, 5))
+        assert modp_counts(F.scale(3), G, 3) == modp_counts(F, G, 3)
+        assert modp_counts(F, G.scale(2), 2) == modp_counts(F, G, 2)
+
+    def test_modp_counts_skip_denominator(self):
+        F = QuadraticForm.diagonal([1, 1, -3, 1, 1])
+        G = QuadraticForm.diagonal([0, 0, 0, 1, 1])
+        with pytest.raises(ValueError):
+            modp_counts(F.scale(Fraction(1, 3)), G, 3)
+
+    # (dim, p, deepest level): p^k-enumeration stays small
+    @pytest.mark.parametrize("dim,p,max_k",
+                             [(3, 2, 4), (3, 3, 4), (4, 2, 4), (4, 3, 3)])
+    def test_depth_matches_brute_enumeration(self, dim, p, max_k):
+        rng = random.Random(f"{dim} {p}")
+        depths = []
+        for _ in range(30):
+            f, g = _odd_cross_coeffs(rng, dim), _odd_cross_coeffs(rng, dim)
+            depth = padic_lift_obstruction(
+                QuadraticForm.from_coeffs(dim, f),
+                QuadraticForm.from_coeffs(dim, g), p,
+                max_depth=max_k, class_budget=10**6)
+            assert depth == first_empty_level(f, g, dim, p, max_k), (f, g)
+            depths.append(depth)
+        assert any(d is not None for d in depths)
+
+    def test_roadmap_two_adic_example(self):
+        # the conic fails at 2 and 5; X has no primitive solution mod 2^4,
+        # though it has some mod 2^3
+        F = QuadraticForm([[20, 0, 0, -2, 2], [0, 28, 0, -6, 2],
+                           [0, 0, -34, 5, -5], [-2, -6, 5, 10, -1],
+                           [2, 2, -5, -1, 10]])
+        G = QuadraticForm([[0, 0, 0, 3, 8], [0, 0, 0, 4, -4],
+                           [0, 0, 0, 7, -2], [3, 4, 7, -14, 9],
+                           [8, -4, -2, 9, 12]])
+        assert padic_lift_obstruction(F, G, 2) == 4
 
 
 class TestPadicLifting:

@@ -10,15 +10,19 @@ from quadpencil.forms import (
     form_rank,
     restrict_form,
 )
+import quadpencil.exact as exact
+from quadpencil.descent import generate_planted_instance
+from quadpencil.exact import matrix_rank
 from quadpencil.normalize import (
-    Conical,
     DiscriminantZero,
+    NormalizedSystem,
     NotAConic,
     NotSmoothConic,
     PlaneContained,
     ROUTES,
     hypothesis_report,
     normalize_pencil,
+    singular_line,
     verify_conic_plane,
 )
 
@@ -130,6 +134,14 @@ class TestNormalizePencil:
             normalize_pencil(F0, G0, cfg)
 
 
+def _check_ranks(sys, rep):
+    """The report's ranks against independent eliminations."""
+    stacked = [list(r) for r in sys.F.gram] + [list(r) for r in sys.G.gram]
+    assert rep.rank_f == form_rank(sys.F)
+    assert rep.rank_g == form_rank(sys.G)
+    assert rep.non_conical == (matrix_rank(stacked) == sys.dim)
+
+
 class TestHypothesisReport:
     @given(st.integers(0, 10**6), st.sampled_from([4, 5, 6, 7]))
     @settings(max_examples=25)
@@ -141,10 +153,10 @@ class TestHypothesisReport:
         try:
             sys = normalize_pencil(F0, G0, cfg)
             rep = hypothesis_report(sys)
-        except (DiscriminantZero, Conical, ValueError, ArithmeticError):
+        except (DiscriminantZero, ValueError, ArithmeticError):
             return
         assert rep.route in ROUTES
-        assert rep.rank_g == form_rank(sys.G)
+        _check_ranks(sys, rep)
 
     def test_route_invariance_under_renormalization(self):
         # pencil-basis and coordinate changes fixing the plane must not
@@ -207,3 +219,84 @@ class TestHypothesisReport:
         assert rep.rank_g == 4
         assert rep.route == "rank4-G-singular-line"
         assert any(n.startswith("singular-line-subcase:") for n in rep.notes)
+
+
+def _system(F, G):
+    """F and G, already normal, as a NormalizedSystem."""
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(F.dim))
+                     for i in range(F.dim))
+    return NormalizedSystem(
+        F=F, G=G, coordinate_change=identity,
+        pencil_change=((Fraction(1), Fraction(0)),
+                       (Fraction(0), Fraction(1))),
+        n=F.dim - 1, conic_form=restrict_form(F, LinearSubspace.standard(
+            F.dim, (0, 1, 2))))
+
+
+def _planted_p5():
+    F0, G0, plane = generate_planted_instance(
+        5, CONIC, [1, 0, 2, 1, -1, 1], seed=4, route="P5-Theorem-2.1")
+    return normalize_pencil(F0, G0, verify_conic_plane(F0, G0, plane))
+
+
+def _split_p5():
+    """Three 2x2 blocks (x_i, x_{i+3}): the first two give the same
+    irreducible quadratic factor -t^2 + t + 1 of P, the last the root -1."""
+    F = QuadraticForm.diagonal([1, 1, -3, 1, 1, 1])
+    G = QuadraticForm.from_coeffs(6, {(0, 3): 2, (1, 4): 2, (3, 3): 1,
+                                      (4, 4): 1, (5, 5): 1})
+    return _system(F, G)
+
+
+class TestRanksFromDiscriminant:
+    @pytest.mark.parametrize("f_diag,rank_f", [
+        ([1, 1, -3, 1, 0], 4),
+        ([1, 1, -3, 0, 0], 3),
+    ])
+    def test_singular_f(self, f_diag, rank_f):
+        # F singular: lambda = 0 is a root of P, and rank(F) is that record's
+        sys = _system(QuadraticForm.diagonal(f_diag),
+                      QuadraticForm.from_coeffs(5, {(0, 3): 1, (1, 4): 1,
+                                                    (3, 3): 1, (4, 4): -1}))
+        rep = hypothesis_report(sys)
+        assert rep.disc.P[0] == 0
+        assert rep.rank_f == rank_f
+        _check_ranks(sys, rep)
+
+    @pytest.mark.parametrize("build,expected", [(_planted_p5, 1),
+                                                (_split_p5, 3)])
+    def test_one_elimination_per_record(self, build, expected, monkeypatch):
+        # one per rational root, one for G, one per repeated factor of
+        # degree >= 2; a simple factor of degree >= 2 takes none
+        sys = build()
+        calls = []
+        echelon = exact.echelon
+        monkeypatch.setattr(exact, "echelon",
+                            lambda *a: calls.append(1) or echelon(*a))
+        rep = hypothesis_report(sys)
+        factors = rep.disc.factorization.factors
+        assert expected == (
+            sum(1 for m, _ in factors if m.degree == 1) + 1
+            + sum(1 for m, e in factors if m.degree > 1 and e > 1))
+        assert len(calls) == expected
+        _check_ranks(sys, rep)
+
+
+class TestSingularLine:
+    LINE = ([0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0])
+
+    @pytest.mark.parametrize("coeffs,subcase", [
+        ({(3, 3): 1, (4, 4): -4}, "k-point"),
+        ({(4, 4): 1, (3, 4): 2}, "k-point"),
+        ({(3, 3): 1, (4, 4): -2}, "conjugate-pair"),
+        ({(0, 0): 1}, "line-on-X"),
+    ])
+    def test_subcase_and_point(self, coeffs, subcase):
+        F = QuadraticForm.from_coeffs(6, coeffs)
+        got, point = singular_line(F, self.LINE)
+        assert got == subcase
+        if subcase == "conjugate-pair":
+            assert point is None
+        else:
+            assert any(point) and F.evaluate(point) == 0
+            assert point[:3] == [0, 0, 0] and point[5] == 0
