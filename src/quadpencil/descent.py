@@ -60,7 +60,7 @@ from .normalize import (
     singular_line,
     verify_conic_plane,
 )
-from .pencil import DiscriminantData, Pencil, member_matrix, smoothness_test
+from .pencil import DiscriminantData, Pencil, member_matrix
 
 
 class PointNotOnX(ValueError):
@@ -91,32 +91,28 @@ class RetriesExhausted(RuntimeError):
 # height-ordered enumeration of primitive sign-canonical integer vectors
 
 
-def _value_key(v: int):
-    return (abs(v), 0 if v > 0 else 1)
-
-
-def _vector_key(vec):
-    support = tuple(i for i, v in enumerate(vec) if v)
-    return (len(support), support, tuple(_value_key(vec[i]) for i in support))
-
-
 def primitive_vectors(length: int, height_bound: int):
-    """All primitive sign-canonical integer vectors with max|v_i| <= bound,
-    in increasing height, deterministic order within each height."""
+    """Primitive integer vectors of the given length with max|v_i| <= bound
+    and first nonzero entry positive: one vector per rational line.
+
+    The order is exact, and search and replay rely on it: by height
+    h = max|v_i|; within a height by support size, then by support in
+    lexicographic order; on one support by the entries, compared
+    lexicographically with 1 < -1 < 2 < -2 < ... < h < -h.  Vectors are
+    produced lazily in that order: the first few at a large length do not
+    wait for a whole height to be built."""
     for h in range(1, height_bound + 1):
-        batch = []
-        for vec in itertools.product(range(-h, h + 1), repeat=length):
-            if max(abs(v) for v in vec) != h:
-                continue
-            g = math.gcd(*(abs(v) for v in vec))
-            if g != 1:
-                continue
-            first = next(v for v in vec if v)
-            if first < 0:
-                continue
-            batch.append(vec)
-        batch.sort(key=_vector_key)
-        yield from batch
+        values = [s * a for a in range(1, h + 1) for s in (1, -1)]
+        for k in range(1, length + 1):
+            for support in itertools.combinations(range(length), k):
+                for entries in itertools.product(values, repeat=k):
+                    if (entries[0] < 0 or max(map(abs, entries)) != h
+                            or math.gcd(*entries) != 1):
+                        continue
+                    vec = [0] * length
+                    for i, v in zip(support, entries):
+                        vec[i] = v
+                    yield tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -205,6 +201,15 @@ def v0_membership(sys: NormalizedSystem, d: DiscriminantData,
         if rec.kind == "mu" and rec.multiplicity < 1:
             continue
         for j, vec in enumerate(rec.radical):
+            # A vector in the plane lies on every hyperplane through it, so
+            # no H could pass; skip it.  A rational 'mu' vertex there is not
+            # on X: the descent runs only when C(Q) is empty, so q(v) != 0.
+            # A factor-record vertex there is a point of C over k(lambda)
+            # where X is singular, and it lies in every section.  The child
+            # may then be singular at that vertex; its points are still
+            # verified exactly and replayed.
+            if not any(vec[3:]):
+                continue
             if not _eval_linear_on_vector(H.alphas, vec, rec.fld):
                 hits.append(f"record{idx}/vec{j}")
     if rank_f != n:
@@ -329,9 +334,6 @@ class WeilSplitData:
     basis: tuple               # 7x7 matrix over K, columns [plane1|plane2|v]
     rational_column: int       # index of the rational completion vector
     T: tuple                   # 4x4 Gram of the first quadric over K
-
-    def conj_mat(self, rows):
-        return [[self.fld.conjugate(x) for x in r] for r in rows]
 
 
 def weil_restriction_split(sys: NormalizedSystem, census) -> WeilSplitData:
@@ -933,12 +935,12 @@ def replay_obstruction(F0, G0, plane, obstruction,
 # ---------------------------------------------------------------------------
 # planted instance generator
 
+PLANTED_RETRIES = 400
+
 
 def generate_planted_instance(n, conic_form: QuadraticForm, planted_point,
                               coefficient_height: int = 9, seed: int = 0,
-                              route: str | None = None,
-                              require_smooth: bool = False,
-                              max_retries: int = 400):
+                              route: str | None = None):
     """Instance (F0, G0, plane) with X containing the conic and the planted
     point.  F0 = q + sum_i>=3 x_i L_i, G0 = sum_i>=3 x_i M_i with seeded
     bounded linear forms, adjusted so both forms vanish at the point.
@@ -955,7 +957,7 @@ def generate_planted_instance(n, conic_form: QuadraticForm, planted_point,
     plane = LinearSubspace.standard(dim, (0, 1, 2))
     rng = random.Random(seed)
     h = coefficient_height
-    for _ in range(max_retries):
+    for _ in range(PLANTED_RETRIES):
         fg = [[Fraction(0)] * dim for _ in range(dim)]
         gg = [[Fraction(0)] * dim for _ in range(dim)]
         for i in range(3):
@@ -986,8 +988,6 @@ def generate_planted_instance(n, conic_form: QuadraticForm, planted_point,
             continue
         if route is not None and rep.route != route:
             continue
-        if require_smooth and not smoothness_test(Pencil(F0, G0)):
-            continue
         return F0, G0, plane
     raise RetriesExhausted(
-        f"no instance with route {route} in {max_retries} attempts")
+        f"no instance with route {route} in {PLANTED_RETRIES} attempts")

@@ -165,13 +165,6 @@ class Poly:
 
 ZERO = Poly([])
 ONE = Poly([1])
-T = Poly([0, 1])
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -293,7 +286,6 @@ class QuotientField:
         self.degree = m.degree
         self.zero = ZERO
         self.one = ONE
-        self.gen = T % m if m.degree == 1 else T
 
     def reduce(self, p: Poly) -> Poly:
         return p % self.modulus

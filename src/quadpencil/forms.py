@@ -203,11 +203,8 @@ class ProjectivePoint:
         return iter(self.coords)
 
 
-def form_rank(F: QuadraticForm, field=None) -> int:
-    if field is None:
-        return matrix_rank([list(r) for r in self_gram(F)])
-    rows = [[field.from_rational(x) for x in row] for row in F.gram]
-    return matrix_rank(rows, field)
+def form_rank(F: QuadraticForm) -> int:
+    return matrix_rank(self_gram(F))
 
 
 def self_gram(F: QuadraticForm):
@@ -233,18 +230,10 @@ def change_coordinates(F: QuadraticForm, M) -> QuadraticForm:
     return QuadraticForm(mat_mul(mat_mul(Mt, self_gram(F)), M))
 
 
-def radical_subspace(F: QuadraticForm, field=None):
-    """Kernel of the Gram matrix.
-
-    Over Q returns a LinearSubspace; over a quotient field returns the raw
-    list of kernel vectors (entries are field elements).
-    """
-    if field is None:
-        _, vecs = rank_and_kernel(self_gram(F))
-        return LinearSubspace.span(F.dim, vecs)
-    rows = [[field.from_rational(x) for x in row] for row in F.gram]
-    _, vecs = rank_and_kernel(rows, field)
-    return vecs
+def radical_subspace(F: QuadraticForm) -> LinearSubspace:
+    """Kernel of the Gram matrix, as a subspace of Q^dim."""
+    _, vecs = rank_and_kernel(self_gram(F))
+    return LinearSubspace.span(F.dim, vecs)
 
 
 def extend_to_basis(cols, ambient_dim):

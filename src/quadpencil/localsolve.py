@@ -145,9 +145,6 @@ class TernaryForm:
     scale: Fraction
     original: QuadraticForm
 
-    def diagonal_form(self) -> QuadraticForm:
-        return QuadraticForm.diagonal([self.a, self.b, self.c])
-
     def to_original(self, y) -> ProjectivePoint:
         coords = [sum(self.transform[i][j] * _frac(y[j]) for j in range(3))
                   for i in range(3)]

@@ -112,9 +112,6 @@ class NormalizedSystem:
     def pencil(self) -> Pencil:
         return Pencil(self.F, self.G)
 
-    def plane(self) -> LinearSubspace:
-        return LinearSubspace.standard(self.dim, (0, 1, 2))
-
 
 MAX_RANK_SCAN = 32
 

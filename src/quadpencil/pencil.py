@@ -8,8 +8,11 @@ Ranks over Q[t]/(m): a factor m of multiplicity 1 and degree >= 2 takes its
 record from one column C(t) of adj(F + tG).  The identity
 (F + tG) C(t) = P(t) e_col, checked in integers at dim + 1 nodes, gives
 (F + aG) C(a) = 0 at a root a of m, so a column with C(a) != 0 spans the
-radical and certifies rank dim - 1.  Repeated factors, whose rank can drop
-further, use the echelon over Q[t]/(m).
+radical and certifies rank dim - 1.  That column, reduced mod m, is the
+radical as recorded: it is not scaled to a normal form, because its
+consumers (the zero test of the descent's V0 check and the analyze report)
+do not depend on its scale.  Repeated factors, whose rank can drop further,
+use the echelon over Q[t]/(m).
 """
 
 from __future__ import annotations
@@ -194,20 +197,18 @@ def _adjugate_kernel(A, B, dets, fld: QuotientField, columns: dict):
     """Radical vector of F + tG over fld, for a simple root of P.
 
     adj = c v v^T at rank dim - 1, so the last column nonzero mod m is a
-    multiple of the radical vector v; scaled to end in 1 it is the vector
-    rank_and_kernel returns.  columns caches the certified integer columns
-    across the factors of one discriminant.
+    nonzero multiple of the radical vector v, and it is returned unscaled:
+    the radical is a line, and no consumer depends on which vector spans
+    it.  columns caches the certified integer columns across the factors of
+    one discriminant.
     """
     n = len(A)
     for col in range(n - 1, -1, -1):
         if col not in columns:
             columns[col] = _adjugate_column(A, B, dets, col)
-        v = [fld.reduce(c) for c in columns[col]]
-        last = max((i for i, x in enumerate(v) if not fld.is_zero(x)),
-                   default=None)
-        if last is not None:
-            inv = fld.inv(v[last])
-            return tuple(fld.mul(inv, x) for x in v)
+        v = tuple(fld.reduce(c) for c in columns[col])
+        if any(v):
+            return v
     # Jacobi: P' = tr(adj(F + tG) G), nonzero at a simple root
     raise InternalError(f"adj(F + tG) vanishes at a simple root of "
                         f"{fld.modulus!r}")

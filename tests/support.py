@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+from quadpencil.descent import generate_planted_instance
 from quadpencil.exact import (
     Poly,
     QuotientField,
@@ -17,6 +18,39 @@ from quadpencil.exact import (
     mat_transpose,
 )
 from quadpencil.forms import LinearSubspace, QuadraticForm
+
+
+def eager_primitive_vectors(length, height_bound):
+    """Order oracle for descent.primitive_vectors: every height batch built
+    in full and sorted by (support size, support, entries on the support
+    keyed by (|v|, v < 0))."""
+    def key(vec):
+        support = tuple(i for i, v in enumerate(vec) if v)
+        return (len(support), support,
+                tuple((abs(vec[i]), vec[i] < 0) for i in support))
+
+    out = []
+    for h in range(1, height_bound + 1):
+        batch = [vec for vec in itertools.product(range(-h, h + 1),
+                                                  repeat=length)
+                 if max(map(abs, vec)) == h
+                 and math.gcd(*vec) == 1
+                 and next(v for v in vec if v) > 0]
+        out.extend(sorted(batch, key=key))
+    return out
+
+
+def plane_radical_instance():
+    """planted-n5-h9-s1404310604 of the descent benchmark: route
+    P5-Theorem-2.1, G of rank 5 with radical e0, a vector in the plane."""
+    seed = 1404310604
+    rng = random.Random(seed)
+    while True:
+        pt = [rng.randint(-3, 3) for _ in range(6)]
+        if any(pt[3:]):
+            break
+    return generate_planted_instance(5, QuadraticForm.diagonal([1, 1, -3]),
+                                     pt, seed=seed, coefficient_height=9)
 
 
 def random_symmetric(rng, dim, height):

@@ -23,6 +23,8 @@ from quadpencil.cli import (
 from quadpencil.forms import LinearSubspace, ProjectivePoint, QuadraticForm
 from quadpencil.pencil import Pencil, smoothness_test
 
+from .support import plane_radical_instance
+
 
 def write_instance(tmp_path, F, G, plane, meta=None, name="inst.json"):
     path = tmp_path / name
@@ -171,16 +173,28 @@ class TestCliExitCodes:
         plane = LinearSubspace.standard(5, (0, 1, 2))
         inst = write_instance(tmp_path, F, G, plane)
         rep = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadpencil.cli", "find-point", inst,
-             "--out", str(rep)],
-            capture_output=True, text=True, env=_src_env(), timeout=30)
-        assert proc.returncode == 0, proc.stderr
+        _cli_in_subprocess("find-point", inst, "--out", str(rep))
         report = json.loads(rep.read_text())
         assert report["trace"]["method"] == "conic"
-        trace = {**report["trace"],
-                 "point": [rat_from_json(x) for x in report["point"]]}
-        assert descent.replay_trace(F, G, plane, trace)
+        _assert_replays(F, G, plane, report)
+
+    def test_large_n_descent_finds_point(self, tmp_path):
+        # a planted P^16 instance descends through 12 levels
+        inst = str(tmp_path / "n16.json")
+        rep = tmp_path / "r.json"
+        _cli_in_subprocess("gen", "--n", "16", "--seed", "0", "--out", inst)
+        _cli_in_subprocess("find-point", inst, "--out", str(rep))
+        F, G, plane, _ = load_instance(inst)
+        _assert_replays(F, G, plane, json.loads(rep.read_text()))
+
+    def test_radical_vector_on_plane_finds_point(self, tmp_path):
+        F, G, plane = plane_radical_instance()
+        inst = write_instance(tmp_path, F, G, plane)
+        rep = tmp_path / "r.json"
+        # without the skip, V0 rejects every hyperplane and the search
+        # walks all of them for minutes
+        _cli_in_subprocess("find-point", inst, "--out", str(rep))
+        _assert_replays(F, G, plane, json.loads(rep.read_text()))
 
     def test_invalid_input_exits_three(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -307,6 +321,21 @@ def lying(t):
 localsolve.conic_local_report = descent.conic_local_report = lying
 print(sys.flags.optimize, main(["find-point", sys.argv[1]]))
 """
+
+
+def _cli_in_subprocess(*args):
+    """Run the CLI with a 30 s timeout and expect exit 0."""
+    proc = subprocess.run([sys.executable, "-m", "quadpencil.cli", *args],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _assert_replays(F, G, plane, report):
+    assert report["status"] == "point"
+    trace = {**report["trace"],
+             "point": [rat_from_json(x) for x in report["point"]]}
+    assert descent.replay_trace(F, G, plane, trace)
 
 
 def _src_env():

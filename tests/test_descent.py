@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,7 +51,9 @@ from quadpencil.descent import (
 from .support import (
     brute_definite_scan,
     build_conjugate_weil_instance,
+    eager_primitive_vectors,
     far_definite_instance,
+    plane_radical_instance,
     sylvester_definite,
 )
 
@@ -76,6 +80,20 @@ class TestEnumeration:
             assert next(x for x in v if x) > 0
             # no rescaled duplicates either
             assert tuple(-x for x in v) not in seen
+
+    @pytest.mark.parametrize("length, bound", [
+        (1, 6), (2, 8), (3, 5), (4, 3), (5, 2), (6, 2), (7, 1)])
+    def test_order_matches_eager_oracle(self, length, bound):
+        assert (list(primitive_vectors(length, bound))
+                == eager_primitive_vectors(length, bound))
+
+    def test_first_vectors_are_lazy(self):
+        # an eager enumerator would build all 3^14 height-1 tuples first
+        start = time.perf_counter()
+        first = list(itertools.islice(primitive_vectors(14, 50), 100))
+        assert time.perf_counter() - start < 1
+        assert first[:2] == [(1,) + (0,) * 13, (0, 1) + (0,) * 12]
+        assert len(first) == 100
 
     def test_heights_nondecreasing(self):
         hs = [max(abs(x) for x in v) for v in primitive_vectors(2, 4)]
@@ -129,6 +147,19 @@ class TestV0Membership:
             if accepted >= 3 and rejected >= 0:
                 break
         assert accepted >= 1
+
+    def test_radical_vector_on_plane_is_skipped(self):
+        # G has rank 5 and radical e0, which lies on every hyperplane
+        # through the plane; checking it would reject every H
+        F0, G0, plane = plane_radical_instance()
+        sys = normalize_pencil(F0, G0, verify_conic_plane(F0, G0, plane))
+        rep = hypothesis_report(sys)
+        mu = rep.disc.mu_record()
+        assert mu.rank == 5
+        assert mu.radical == ((1, 0, 0, 0, 0, 0),)
+        for H in itertools.islice(enumerate_hyperplanes(5, 50), 24):
+            cert = v0_membership(sys, rep.disc, H)
+            assert cert.accepted, cert.rejected_clause
 
 
 class TestTransversality:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quadpencil.exact import Poly, rank_and_kernel
+from quadpencil.exact import Poly, echelon, rank_and_kernel
 from quadpencil.forms import QuadraticForm, form_rank
 from quadpencil.pencil import (
     CensusReport,
@@ -123,9 +123,19 @@ class TestAdjugateKernel:
             for r in d.factor_records():
                 if r.factor.degree < 2 or r.multiplicity != 1:
                     continue
-                rank, ker = rank_and_kernel(member_matrix(F, G, r.fld), r.fld)
+                fld = r.fld
+                N = member_matrix(F, G, fld)
+                rank, ker = rank_and_kernel(N, fld)
                 assert r.rank == rank == dim - 1
-                assert r.radical == tuple(tuple(v) for v in ker)
+                # the radical is unscaled: equal to the echelon vector up to
+                # a nonzero scalar, its entry in the echelon's free column
+                # (where the echelon vector has 1)
+                (radical,), (vec,) = r.radical, ker
+                _, pivots = echelon(N, fld)
+                (free,) = set(range(dim)) - set(pivots)
+                scalar = radical[free]
+                assert not fld.is_zero(scalar)
+                assert radical == tuple(fld.mul(scalar, x) for x in vec)
                 checked += 1
         assert checked >= 1
 
